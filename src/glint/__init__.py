@@ -37,7 +37,16 @@ from .evaluation import EvalReport, evaluate, qtype_breakdown, run_ablations
 from .index_store import read_index, write_index
 from .losses import finite_diff_check, global_infonce, joint_loss, local_align, retrieval_infonce
 from .metrics import map_at_k, ndcg_at_k, spatial_entropy, wilcoxon_signed_rank
-from .scoring import ALL_ROWS, Ranking, ScoringFlags, maxsim_score, pool_patches, rank, score_batch
+from .scoring import (
+    ALL_ROWS,
+    DocumentIndex,
+    Ranking,
+    ScoringFlags,
+    maxsim_score,
+    pool_patches,
+    rank,
+    score_batch,
+)
 from .training import TrainerConfig, grad_check_encoder, train
 
 __version__ = "0.1.0"
@@ -52,6 +61,7 @@ __all__ = [
     "DescriptorEmbedding",
     "DimensionMismatchError",
     "DocumentEmbedding",
+    "DocumentIndex",
     "Encoder",
     "EncoderConfig",
     "EvalReport",

@@ -387,9 +387,16 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
             full = set(grp)
             if all(len(quad & s) <= 2 for s in used_sets) and all(len(q & full) <= 2 for q in quads):
                 return grp
+        if pool_size == SKETCH_DIM:
+            advice = (
+                f"the pool is capped at SKETCH_DIM={SKETCH_DIM} ids whatever vocab_size is, "
+                "which holds about 450 pages at the default settings; reduce n_pages"
+            )
+        else:
+            advice = f"increase vocab_size (the pool grows to at most SKETCH_DIM={SKETCH_DIM} ids) or reduce n_pages"
         raise ConfigurationError(
-            "content pool too small to keep query token sets distinct; "
-            "increase vocab_size or reduce n_pages"
+            f"content pool of {pool_size} ids too small to keep query token sets distinct "
+            f"for n_pages={cfg.n_pages}; {advice}"
         )
 
     pages: dict[int, PageSpec] = {}

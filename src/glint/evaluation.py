@@ -13,6 +13,7 @@ rows require their own trained checkpoints.
 from __future__ import annotations
 
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .embeddings import DocumentEmbedding
 from .encoder import Encoder
 from .errors import ConfigurationError, InsufficientDataError
 from .metrics import map_at_k, mean_of, ndcg_at_k, wilcoxon_signed_rank
-from .scoring import ALL_ROWS, ScoringFlags, pool_patches, rank
+from .scoring import ALL_ROWS, DocumentIndex, ScoringFlags, pool_patches, rank
 
 
 @dataclass
@@ -123,7 +124,7 @@ def encode_split_docs(
     split: str,
     cross_context: bool = False,
     pooling: str | None = None,
-    base_docs: list[DocumentEmbedding] | None = None,
+    base_docs: Sequence[DocumentEmbedding] | None = None,
 ) -> list[DocumentEmbedding]:
     """Build scoring-ready document embeddings for one split's pages.
 
@@ -168,12 +169,12 @@ def evaluate(
     variant: str = "full",
     pooling: str | None = None,
     cross_context: bool = False,
-    base_docs: list[DocumentEmbedding] | None = None,
+    base_docs: Sequence[DocumentEmbedding] | None = None,
 ) -> EvalReport:
     """Rank every query of the split against the split's pages and score it."""
     flags.validate()
-    docs = encode_split_docs(
-        encoder, corpus, split, cross_context=cross_context, pooling=pooling, base_docs=base_docs
+    docs = DocumentIndex(
+        encode_split_docs(encoder, corpus, split, cross_context=cross_context, pooling=pooling, base_docs=base_docs)
     )
     results: list[QueryResult] = []
     skipped: list[int] = []
@@ -296,12 +297,20 @@ def run_ablations(
     `encoders` maps checkpoint roles to loaded encoders: "full" is required
     by flag and pooling rows, "loss_no_global"/"loss_no_local" by the loss
     rows, and an optional "retrieval_only" enables the significance record
-    comparing the full model against retrieval-only training.
+    comparing the full model against retrieval-only training. Each
+    checkpoint's split pages are encoded once and shared by its rows.
     """
     selected = tuple(rows) if rows is not None else ABLATION_ROWS
     unknown = [r for r in selected if r not in ABLATION_ROWS]
     if unknown:
         raise ConfigurationError(f"unknown ablation rows: {unknown}")
+
+    pages: dict[str, list[DocumentEmbedding]] = {}  # each checkpoint's split pages, encoded once
+
+    def pages_of(key: str) -> list[DocumentEmbedding]:
+        if key not in pages:
+            pages[key] = encode_split_docs(encoders[key], corpus, split)
+        return pages[key]
 
     reports: dict[str, EvalReport] = {}
     for row in selected:
@@ -317,10 +326,14 @@ def run_ablations(
             flags=_ROW_FLAGS.get(row, ALL_ROWS),
             variant=row,
             pooling=pooling,
+            base_docs=pages_of(key),
         )
 
     significance: list[dict] = []
     if "retrieval_only" in encoders and "full" in reports:
-        baseline = evaluate(encoders["retrieval_only"], corpus, split=split, k=k, variant="retrieval_only")
+        baseline = evaluate(
+            encoders["retrieval_only"], corpus, split=split, k=k, variant="retrieval_only",
+            base_docs=pages_of("retrieval_only"),
+        )
         significance.append(compare_reports(reports["full"], baseline))
     return AblationReport(reports=reports, significance=significance)

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import DocumentEmbedding
 from .errors import IntegrityError
+from .scoring import DocumentIndex
 
 INDEX_MAGIC = b"LIGT"
 INDEX_VERSION = 1
@@ -34,7 +36,7 @@ def _check_unit_rows(rows: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: {int(np.sum(bad))} rows are not unit-norm")
 
 
-def write_index(docs: list[DocumentEmbedding], path) -> None:
+def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
     """Serialize document embeddings; the file is written in one shot, so a
     failed validation never leaves a partial index behind."""
     if docs:
@@ -54,8 +56,13 @@ def write_index(docs: list[DocumentEmbedding], path) -> None:
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
 
 
-def read_index(path) -> list[DocumentEmbedding]:
-    """Load an index, verifying magic, version, checksum, and exact length."""
+def read_index(path) -> DocumentIndex:
+    """Load an index, verifying magic, version, checksum, and exact length.
+
+    A record's patch rows and global row are contiguous in the file, so each
+    is copied once, straight from the file buffer into its slot of the
+    index's block for its row count.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 4 + 12 + 4:
         raise IntegrityError(f"{path}: too short to be an index file")
@@ -68,9 +75,10 @@ def read_index(path) -> list[DocumentEmbedding]:
     if version != INDEX_VERSION:
         raise IntegrityError(f"{path}: unsupported index version {version}")
 
-    docs: list[DocumentEmbedding] = []
+    page_ids: list[int] = []
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # patch rows -> (positions, row offsets)
     off = 16
-    for _ in range(n_docs):
+    for pos in range(n_docs):
         if off + 12 > len(payload):
             raise IntegrityError(f"{path}: truncated document record")
         page_id, n_rows = struct.unpack_from("<QI", payload, off)
@@ -78,17 +86,18 @@ def read_index(path) -> list[DocumentEmbedding]:
         need = (n_rows + 1) * d * 8
         if off + need > len(payload):
             raise IntegrityError(f"{path}: truncated vectors for page {page_id}")
-        patches = np.frombuffer(payload, dtype="<f8", count=n_rows * d, offset=off).reshape(n_rows, d)
-        off += n_rows * d * 8
-        global_vec = np.frombuffer(payload, dtype="<f8", count=d, offset=off)
-        off += d * 8
-        docs.append(
-            DocumentEmbedding(
-                patches=patches.astype(np.float64).copy(),
-                global_vec=global_vec.astype(np.float64).copy(),
-                page_id=int(page_id),
-            )
-        )
+        page_ids.append(page_id)
+        positions, offsets = groups.setdefault(n_rows, ([], []))
+        positions.append(pos)
+        offsets.append(off)
+        off += need
     if off != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - off} trailing bytes after last record")
-    return docs
+
+    blocks = []
+    for n_rows, (positions, offsets) in groups.items():
+        block = np.empty((len(offsets), (n_rows + 1) * d), dtype=np.float64)
+        for slot, start in enumerate(offsets):
+            block[slot] = np.frombuffer(payload, dtype="<f8", count=(n_rows + 1) * d, offset=start)
+        blocks.append((positions, block.reshape(len(offsets), n_rows + 1, d)))
+    return DocumentIndex.from_blocks(page_ids, blocks)

@@ -1,20 +1,30 @@
-"""Late-interaction (MaxSim) scoring, batch score matrices, ranking, pooling.
+"""Late-interaction (MaxSim) scoring, the stacked document index, ranking, pooling.
 
 The relevance of a document to a query is the sum, over active query rows, of
 the maximum dot product against any active document row. With all flags on the
 row sets are (tokens + query global) x (patches + document global). Flags
 exist so scoring ablations (drop patches / drop either global) reuse one code
 path. Inputs are assumed row-normalized, so dot products are cosines.
+
+Every MaxSim in the package goes through one kernel, `maxsim`, which scores a
+query against a stack of equally long documents with one batched matmul.
+`DocumentIndex` keeps documents in that form: one contiguous
+(n_L, L + 1, d) block per distinct patch count L, patches first and the global
+row last, so a flag setting is a slice of the block. numpy runs the same 2-D
+product on every slice of a stack, so a document's score does not depend on
+which other documents share its block: pairwise, batch and ranked scores are
+bit-identical by construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embeddings import DocumentEmbedding, QueryEmbedding, l2_normalize
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -68,27 +78,106 @@ def query_rows(q: QueryEmbedding, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
     return q.tokens
 
 
-def doc_rows(d: DocumentEmbedding, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
-    """Stack the active document rows: patches first, global last."""
-    flags.validate()
-    if flags.use_patches and flags.use_doc_global:
-        return np.vstack([d.patches, d.global_vec[None, :]])
-    if flags.use_patches:
-        return d.patches
-    return d.global_vec[None, :]
+def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MaxSim of one query against a stack of documents with equal row counts.
 
-
-def _maxsim_kernel(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum of per-query-row maxima over the similarity grid.
-
-    Returns (score, argmax document-row index per query row). np.argmax takes
-    the lowest index on ties; the summation runs in fixed query-row order so
-    batch and pairwise scoring are bit-identical.
+    q_rows is (L_q, d) and d_rows is (n, L_d, d). Returns the n scores and, per
+    document and query row, the index of the best document row, shape
+    (n, L_q). np.argmax takes the lowest index on ties; each document's maxima
+    are summed in fixed query-row order.
     """
-    sims = q_rows @ d_rows.T
-    arg = np.argmax(sims, axis=1)
-    score = float(np.sum(sims[np.arange(sims.shape[0]), arg]))
-    return score, arg
+    sims = q_rows @ d_rows.transpose(0, 2, 1)
+    arg = np.argmax(sims, axis=2)
+    best = np.take_along_axis(sims, arg[:, :, None], axis=2)[:, :, 0]
+    return np.sum(best, axis=1), arg
+
+
+class DocumentIndex(Sequence[DocumentEmbedding]):
+    """Immutable document set stored for the MaxSim kernel.
+
+    Holds one read-only (n_L, L + 1, d) block per distinct patch count L,
+    with each document's patches first and its global row last. The
+    documents it yields are views into those blocks, in the order given.
+    """
+
+    def __init__(self, docs: Iterable[DocumentEmbedding]):
+        docs = list(docs)
+        groups: dict[int, list[int]] = {}
+        for pos, doc in enumerate(docs):
+            groups.setdefault(doc.patches.shape[0], []).append(pos)
+        dim = docs[0].global_vec.shape[0] if docs else 0
+        blocks = []
+        for n_rows, positions in groups.items():
+            block = np.empty((len(positions), n_rows + 1, dim), dtype=np.float64)
+            for slot, pos in enumerate(positions):
+                if docs[pos].global_vec.shape[0] != dim:
+                    raise DimensionMismatchError(
+                        f"DocumentIndex: page {docs[pos].page_id} has d={docs[pos].global_vec.shape[0]}, "
+                        f"expected {dim}"
+                    )
+                block[slot, :-1] = docs[pos].patches
+                block[slot, -1] = docs[pos].global_vec
+            blocks.append((positions, block))
+        self._init([doc.page_id for doc in docs], blocks)
+
+    @classmethod
+    def from_blocks(cls, page_ids: Sequence, blocks: list[tuple[list[int], np.ndarray]]) -> "DocumentIndex":
+        """Adopt filled blocks without copying. blocks holds (positions,
+        block) pairs: block[s] is the (L + 1, d) row stack, patches first,
+        of the document at position positions[s] of page_ids."""
+        index = cls.__new__(cls)
+        index._init(page_ids, blocks)
+        return index
+
+    def _init(self, page_ids: Sequence, blocks: list[tuple[list[int], np.ndarray]]) -> None:
+        self._page_ids = tuple(page_ids)
+        self._docs: list[DocumentEmbedding | None] = [None] * len(page_ids)
+        self._blocks = []
+        for positions, block in blocks:
+            block.flags.writeable = False
+            for slot, pos in enumerate(positions):
+                self._docs[pos] = DocumentEmbedding(
+                    patches=block[slot, :-1], global_vec=block[slot, -1], page_id=self._page_ids[pos]
+                )
+            self._blocks.append((np.asarray(positions, dtype=np.intp), block))
+        self._id_keys = np.asarray(self._page_ids)
+
+    def __len__(self) -> int:
+        return len(self._docs)
+
+    def __getitem__(self, i):
+        return self._docs[i]
+
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence holding equal documents in the same order, as a list would be."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._docs == list(other)
+
+    __hash__ = None
+
+    @property
+    def page_ids(self) -> tuple:
+        """The documents' page ids, in order (the documents' own objects)."""
+        return self._page_ids
+
+    def scores(self, q_rows: np.ndarray, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
+        """MaxSim of the query rows against every document, in index order."""
+        flags.validate()
+        if flags.use_patches and flags.use_doc_global:
+            rows = slice(None)
+        elif flags.use_patches:
+            rows = slice(None, -1)
+        else:
+            rows = slice(-1, None)
+        out = np.empty(len(self), dtype=np.float64)
+        for positions, block in self._blocks:
+            out[positions], _ = maxsim(q_rows, block[:, rows])
+        return out
+
+    def top(self, scores: np.ndarray, k: int) -> np.ndarray:
+        """Positions of the k best scores, descending; ties by ascending page id."""
+        return np.lexsort((self._id_keys, -scores))[:k]
 
 
 def maxsim_score(
@@ -97,60 +186,44 @@ def maxsim_score(
     flags: ScoringFlags = ALL_ROWS,
 ) -> float:
     """Late-interaction relevance of document d to query q under the given flags."""
-    score, _ = _maxsim_kernel(query_rows(q, flags), doc_rows(d, flags))
-    return score
-
-
-def maxsim_with_argmax(
-    q: QueryEmbedding,
-    d: DocumentEmbedding,
-    flags: ScoringFlags = ALL_ROWS,
-) -> tuple[float, np.ndarray]:
-    """maxsim_score plus, per query row, the index of its best document row.
-
-    The argmax indices are what the trainer uses to route score gradients back
-    into the embedding rows; ties resolve to the lowest index.
-    """
-    return _maxsim_kernel(query_rows(q, flags), doc_rows(d, flags))
+    return float(DocumentIndex([d]).scores(query_rows(q, flags), flags)[0])
 
 
 def score_batch(
     queries: list[QueryEmbedding],
-    docs: list[DocumentEmbedding],
+    docs: Sequence[DocumentEmbedding],
     flags: ScoringFlags = ALL_ROWS,
 ) -> ScoreMatrix:
-    """Pairwise MaxSim grid. Each entry is computed by the same kernel as
+    """Pairwise MaxSim grid. Each entry comes from the same kernel as
     maxsim_score, so the matrix equals pairwise calls bit-for-bit."""
     if not queries or not docs:
         raise ConfigurationError("score_batch: empty query or document list")
-    q_stacks = [query_rows(q, flags) for q in queries]
-    d_stacks = [doc_rows(d, flags) for d in docs]
-    values = np.empty((len(queries), len(docs)), dtype=np.float64)
-    for i, qr in enumerate(q_stacks):
-        for j, dr in enumerate(d_stacks):
-            values[i, j], _ = _maxsim_kernel(qr, dr)
-    return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], doc_ids=[d.page_id for d in docs])
+    index = docs if isinstance(docs, DocumentIndex) else DocumentIndex(docs)
+    values = np.vstack([index.scores(query_rows(q, flags), flags) for q in queries])
+    return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], doc_ids=list(index.page_ids))
 
 
 def rank(
     q: QueryEmbedding,
-    index: list[DocumentEmbedding],
+    index: Sequence[DocumentEmbedding],
     k: int,
     flags: ScoringFlags = ALL_ROWS,
 ) -> Ranking:
-    """Top-min(k, |index|) documents by maxsim_score; ties broken by ascending page id."""
+    """Top-min(k, |index|) documents by maxsim_score; ties broken by ascending page id.
+
+    A plain list is stacked into a DocumentIndex first; callers ranking many
+    queries against one list should build the DocumentIndex once.
+    """
     if k < 1:
         raise ValueError(f"rank: k must be >= 1, got {k}")
     if not index:
         raise ConfigurationError("rank: empty document index")
-    qr = query_rows(q, flags)
-    scored = []
-    for d in index:
-        s, _ = _maxsim_kernel(qr, doc_rows(d, flags))
-        scored.append((s, d.page_id))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    top = scored[: min(k, len(scored))]
-    return Ranking(query_id=q.query_id, doc_ids=[pid for _, pid in top], scores=[s for s, _ in top])
+    if not isinstance(index, DocumentIndex):
+        index = DocumentIndex(index)
+    scores = index.scores(query_rows(q, flags), flags)
+    top = index.top(scores, k)
+    page_ids = index.page_ids
+    return Ranking(query_id=q.query_id, doc_ids=[page_ids[i] for i in top], scores=scores[top].tolist())
 
 
 def pool_patches(patches: np.ndarray, mode: str) -> np.ndarray:

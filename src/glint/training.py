@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import Corpus
 from .encoder import Encoder, EncoderConfig, init_params, param_spec, zero_grads
 from .errors import ConfigurationError, TrainingDivergedError
+from .evaluation import evaluate
 from .losses import (
     DEFAULT_TAU,
     LossValue,
@@ -30,8 +31,7 @@ from .losses import (
     retrieval_infonce,
     scale_loss,
 )
-from .metrics import ndcg_at_k
-from .scoring import Ranking
+from .scoring import maxsim
 
 
 @dataclass
@@ -220,16 +220,21 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     argmax: list[list[np.ndarray]] | None = None
     retrieval_part = None
     if cfg.enable_retrieval:
+        # Documents with equal row counts (all of them, unless cross-context
+        # rows vary) share one stack for the MaxSim kernel.
+        by_rows: dict[int, list[int]] = {}
+        for j, rows in enumerate(d_rows):
+            by_rows.setdefault(rows.shape[0], []).append(j)
+        stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
         scores = np.empty((b, b), dtype=np.float64)
         argmax = []
         for i in range(b):
-            row_args = []
-            for j in range(b):
-                sims = q_out[i] @ d_rows[j].T
-                arg = np.argmax(sims, axis=1)
-                scores[i, j] = float(np.sum(sims[np.arange(sims.shape[0]), arg]))
-                row_args.append(arg)
-                sig_parts.append(tuple(arg.tolist()))
+            row_args: list[np.ndarray] = [None] * b
+            for js, stack in stacks:
+                scores[i, js], args = maxsim(q_out[i], stack)
+                for j, arg in zip(js, args):
+                    row_args[j] = arg
+            sig_parts.extend(tuple(arg.tolist()) for arg in row_args)
             argmax.append(row_args)
         retrieval_part = scale_loss(retrieval_infonce(scores, cfg.retrieval_tau), cfg.weight_retrieval)
 
@@ -349,17 +354,9 @@ def _make_samples(corpus: Corpus, query_ids: list[int], need_desc: bool) -> list
 
 def _dev_ndcg(encoder: Encoder, corpus: Corpus, k: int) -> float:
     """Mean nDCG@k over the dev split (normal scoring, no descriptors)."""
-    split = corpus.splits["dev"]
-    docs = [encoder.encode_page(corpus.patch_features(pid), pid) for pid in split.page_ids]
-    vals = []
-    for qid in split.query_ids:
-        q = corpus.queries[qid]
-        emb = encoder.encode_query(q.tokens, qid)
-        from .scoring import rank  # local import keeps module load order simple
-
-        ranking: Ranking = rank(emb, docs, k)
-        vals.append(ndcg_at_k(ranking.doc_ids, set(q.relevant_page_ids), k))
-    return float(np.mean(vals)) if vals else 0.0
+    if not corpus.splits["dev"].query_ids:
+        return 0.0
+    return evaluate(encoder, corpus, split="dev", k=k).overall["ndcg"]
 
 
 def train(

@@ -56,6 +56,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CorpusConfig(tokens_per_group=3)
 
+    def test_content_pool_cap_is_named_not_vocab_size(self):
+        # The pool never exceeds SKETCH_DIM ids, so a larger vocabulary cannot help.
+        with pytest.raises(ConfigurationError) as err:
+            generate_corpus(CorpusConfig(n_pages=500, vocab_size=8192))
+        assert "SKETCH_DIM" in str(err.value) and "450" in str(err.value)
+        assert "increase vocab_size" not in str(err.value)
+
     def test_vocab_must_cover_the_content_pool(self):
         # 4x4 structural ids end at 21; a pool below 3 groups is refused.
         with pytest.raises(ConfigurationError, match="vocab too small"):

@@ -6,6 +6,7 @@ import copy
 import numpy as np
 import pytest
 
+from glint.encoder import Encoder
 from glint.errors import ConfigurationError
 from glint.evaluation import (
     ABLATION_ROWS,
@@ -17,7 +18,7 @@ from glint.evaluation import (
     format_report_table,
     run_ablations,
 )
-from glint.scoring import ScoringFlags, pool_patches
+from glint.scoring import ALL_ROWS, ScoringFlags, pool_patches
 
 
 def _toy_report(variant="toy", with_local=True) -> EvalReport:
@@ -236,6 +237,28 @@ class TestAblations:
         assert record["pair"] == "full_vs_retrieval_only"
         # Identical encoders give zero differences: the insufficient-data path.
         assert record["method"].startswith("insufficient-data")
+
+    def test_each_checkpoint_encodes_its_pages_once(self, trained_small, small_corpus, monkeypatch):
+        full, baseline = trained_small, Encoder(trained_small.config, trained_small.params)
+        rows = ("full", "no_patch_rows", "pool_mean")
+        fresh = {
+            row: evaluate(full, small_corpus, split="test", k=3, flags=flags, pooling=pooling)
+            for row, flags, pooling in (
+                ("full", ALL_ROWS, None),
+                ("no_patch_rows", ScoringFlags(use_patches=False), None),
+                ("pool_mean", ALL_ROWS, "mean"),
+            )
+        }
+        calls = []
+        original = Encoder.encode_page
+        monkeypatch.setattr(Encoder, "encode_page", lambda self, *a, **kw: calls.append(self) or original(self, *a, **kw))
+        ab = run_ablations(small_corpus, {"full": full, "retrieval_only": baseline}, split="test", k=3, rows=rows)
+        n_pages = len(small_corpus.splits["test"].page_ids)
+        assert len(calls) == 2 * n_pages
+        assert calls.count(full) == calls.count(baseline) == n_pages
+        for row in rows:
+            assert [r.ranking for r in ab.reports[row].results] == [r.ranking for r in fresh[row].results]
+            assert [r.ndcg for r in ab.reports[row].results] == [r.ndcg for r in fresh[row].results]
 
     def test_report_table_and_rows(self, trained_small, small_corpus):
         ab = run_ablations(

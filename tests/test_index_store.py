@@ -9,6 +9,7 @@ import pytest
 from glint.embeddings import DocumentEmbedding, normalize_rows
 from glint.errors import IntegrityError
 from glint.index_store import INDEX_MAGIC, read_index, write_index
+from glint.scoring import DocumentIndex
 
 
 def _random_docs(seed=0, n=5, d=8):
@@ -40,10 +41,29 @@ class TestRoundTrip:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         docs = _random_docs()
-        p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
+        p1, p2, p3 = tmp_path / "a.idx", tmp_path / "b.idx", tmp_path / "c.idx"
         write_index(docs, p1)
         write_index(docs, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        write_index(read_index(p1), p3)  # a loaded index writes back the same file
+        assert p3.read_bytes() == p1.read_bytes()
+
+    def test_documents_are_views_into_contiguous_blocks(self, tmp_path):
+        docs = _random_docs(n=12)
+        path = tmp_path / "pages.idx"
+        write_index(docs, path)
+        loaded = read_index(path)
+        assert isinstance(loaded, DocumentIndex)
+        owners: dict[int, set[int]] = {}
+        for doc in loaded:
+            owner = doc.patches.base
+            assert owner is doc.global_vec.base and owner.flags.c_contiguous
+            assert not doc.patches.flags.writeable
+            # Each document's patches and then its global row, back to back.
+            start = doc.patches.__array_interface__["data"][0]
+            assert doc.global_vec.__array_interface__["data"][0] == start + doc.patches.nbytes
+            owners.setdefault(doc.patches.shape[0], set()).add(id(owner))
+        assert len(owners) > 1 and all(len(ids) == 1 for ids in owners.values())
 
     def test_empty_index(self, tmp_path):
         path = tmp_path / "empty.idx"

@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from glint.embeddings import DocumentEmbedding, QueryEmbedding, normalize_rows
-from glint.errors import ConfigurationError
+from glint.errors import ConfigurationError, DimensionMismatchError
 from glint.scoring import (
     ALL_ROWS,
+    DocumentIndex,
     Ranking,
     ScoringFlags,
+    maxsim,
     maxsim_score,
-    maxsim_with_argmax,
     pool_patches,
+    query_rows,
     rank,
     score_batch,
 )
+
+#: Every flag setting that leaves at least one document row.
+FLAG_ROWS = [
+    ScoringFlags(use_query_global=qg, use_doc_global=dg, use_patches=p)
+    for qg in (True, False)
+    for dg in (True, False)
+    for p in (True, False)
+    if dg or p
+]
 
 
 def _query(tokens, global_vec, qid=0):
@@ -111,10 +122,10 @@ class TestMaxsimScore:
             np.testing.assert_allclose(maxsim_score(perm_q, d), s, atol=1e-9)
 
     def test_argmax_prefers_lowest_row_on_ties(self):
-        q = _query([[1.0, 0.0]], [0.0, 1.0])
-        d = _doc([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])  # rows 0 and 1 tie
-        _, arg = maxsim_with_argmax(q, d)
-        assert arg[0] == 0
+        q_rows = np.array([[1.0, 0.0]])
+        d_rows = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])  # rows 0 and 1 tie
+        _, arg = maxsim(q_rows, d_rows)
+        assert arg[0, 0] == 0
 
 
 class TestScoreBatch:
@@ -187,6 +198,108 @@ class TestRank:
         rng = np.random.default_rng(18)
         q, d = _random_pair(rng)
         assert isinstance(rank(q, [d], k=1), Ranking)
+
+
+def _loop_maxsim(q_rows, d_rows):
+    """The per-document 2-D reference: one product, argmax, and the sum of
+    the selected entries in query-row order."""
+    sims = q_rows @ d_rows.T
+    arg = np.argmax(sims, axis=1)
+    return float(np.sum(sims[np.arange(sims.shape[0]), arg])), arg
+
+
+def _active_doc_rows(d, flags):
+    rows = ([d.patches] if flags.use_patches else []) + ([d.global_vec[None, :]] if flags.use_doc_global else [])
+    return np.vstack(rows)
+
+
+def _mixed_docs(rng, n=30, d=8):
+    """Documents with 1 to 5 patch rows, page ids shuffled."""
+    pids = rng.permutation(n) + 100
+    return [_random_pair(rng, d=d, ld=int(rng.integers(1, 6)), pid=int(pids[j]))[1] for j in range(n)]
+
+
+class TestMaxsimKernel:
+    def test_stack_equals_per_document_loop_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            q_rows = normalize_rows(rng.normal(size=(int(rng.integers(1, 9)), 8)))
+            d_rows = normalize_rows(rng.normal(size=(6 * 5, 8))).reshape(6, 5, 8)
+            scores, arg = maxsim(q_rows, d_rows)
+            assert scores.shape == (6,) and arg.shape == (6, q_rows.shape[0])
+            for j in range(6):
+                ref, ref_arg = _loop_maxsim(q_rows, d_rows[j])
+                assert scores[j] == ref
+                np.testing.assert_array_equal(arg[j], ref_arg)
+
+    def test_a_patch_beats_the_global_row_on_an_exact_tie(self):
+        q = _query([[1.0, 0.0]], [0.0, 1.0])
+        d = _doc([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0])  # patch 1 and the global row tie
+        _, arg = maxsim(query_rows(q), _active_doc_rows(d, ALL_ROWS)[None])
+        assert arg.tolist() == [[1, 0]]  # the patch, not the global row (index 2)
+
+
+class TestDocumentIndex:
+    def test_mixed_row_counts_rank_like_pairwise_scoring_under_every_flag_row(self):
+        rng = np.random.default_rng(21)
+        docs = _mixed_docs(rng)
+        index = DocumentIndex(docs)
+        for flags in FLAG_ROWS:
+            for qid in range(5):
+                q = _random_pair(rng, qid=qid)[0]
+                out = rank(q, index, k=len(docs), flags=flags)
+                pairwise = sorted(((maxsim_score(q, d, flags), d.page_id) for d in docs), key=lambda t: (-t[0], t[1]))
+                assert out.doc_ids == [pid for _, pid in pairwise]
+                assert out.scores == [s for s, _ in pairwise]  # exact, not approx
+                q_rows = query_rows(q, flags)
+                for d in docs:
+                    assert maxsim_score(q, d, flags) == _loop_maxsim(q_rows, _active_doc_rows(d, flags))[0]
+
+    def test_plain_list_and_index_give_equal_rankings(self):
+        rng = np.random.default_rng(22)
+        docs = _mixed_docs(rng)
+        index = DocumentIndex(docs)
+        for flags in FLAG_ROWS:
+            q = _random_pair(rng)[0]
+            assert rank(q, docs, k=7, flags=flags) == rank(q, index, k=7, flags=flags)
+
+    def test_documents_are_views_in_the_given_order(self):
+        rng = np.random.default_rng(23)
+        docs = _mixed_docs(rng, n=10)
+        index = DocumentIndex(docs)
+        assert len(index) == 10 and [d.page_id for d in index] == [d.page_id for d in docs]
+        for src, view in zip(docs, index):
+            np.testing.assert_array_equal(view.patches, src.patches)
+            np.testing.assert_array_equal(view.global_vec, src.global_vec)
+            assert not view.patches.flags.writeable and view.patches.base is view.global_vec.base
+
+    def test_page_ids_are_the_documents_own_objects(self):
+        rng = np.random.default_rng(24)
+        docs = _mixed_docs(rng, n=6)
+        for d in docs:
+            d.page_id = int(d.page_id) + 10**6  # outside the small-int cache
+        out = rank(_random_pair(rng)[0], docs, k=6)
+        by_value = {d.page_id: d.page_id for d in docs}
+        assert all(pid is by_value[pid] for pid in out.doc_ids)
+
+    def test_one_page_index(self):
+        rng = np.random.default_rng(25)
+        q, d = _random_pair(rng, pid=3)
+        out = rank(q, DocumentIndex([d]), k=1)
+        assert out.doc_ids == [3] and out.scores == [maxsim_score(q, d)]
+
+    def test_k_larger_than_the_index_returns_every_page(self):
+        rng = np.random.default_rng(26)
+        docs = _mixed_docs(rng, n=4)
+        out = rank(_random_pair(rng)[0], DocumentIndex(docs), k=50)
+        assert sorted(out.doc_ids) == sorted(d.page_id for d in docs)
+        assert out.scores == sorted(out.scores, reverse=True)
+
+    def test_mixed_dimensions_rejected(self):
+        rng = np.random.default_rng(27)
+        docs = [_random_pair(rng, d=8)[1], _random_pair(rng, d=4)[1]]
+        with pytest.raises(DimensionMismatchError):
+            DocumentIndex(docs)
 
 
 class TestPoolPatches:

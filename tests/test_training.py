@@ -10,11 +10,16 @@ from conftest import small_corpus_config, small_encoder_config, small_trainer_co
 from glint.corpus import generate_corpus
 from glint.encoder import Encoder, init_params
 from glint.errors import ConfigurationError, TrainingDivergedError
+from glint.metrics import ndcg_at_k
+from glint.scoring import rank
 from glint.training import (
     AdamW,
     TrainerConfig,
     TrainSample,
+    _dev_ndcg,
     _forward_batch,
+    _make_samples,
+    _tiny_batch,
     _tiny_config,
     grad_check_encoder,
     train,
@@ -181,6 +186,51 @@ class TestTrainLoop:
         parsed = json.loads(out.read_text())
         assert parsed["steps"][0]["step"] == 0
         assert len(parsed["epochs"]) == 1
+
+
+def _assert_grid_matches_pair_loop(fwd, b):
+    for i in range(b):
+        for j in range(b):
+            sims = fwd.q_out[i] @ fwd.d_rows[j].T
+            arg = np.argmax(sims, axis=1)
+            assert fwd.scores[i, j] == float(np.sum(sims[np.arange(sims.shape[0]), arg]))
+            np.testing.assert_array_equal(fwd.argmax[i][j], arg)
+
+
+class TestScoreGrid:
+    @pytest.mark.parametrize("cross_context", [False, True])
+    def test_tiny_batch_grid_equals_a_per_pair_loop(self, cross_context):
+        cfg = _tiny_config(0)
+        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
+        batch = _tiny_batch(np.random.default_rng(5), cfg, b=6)
+        fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, tcfg)
+        assert len({rows.shape[0] for rows in fwd.d_rows}) > 1  # several stacks
+        _assert_grid_matches_pair_loop(fwd, 6)
+
+    @pytest.mark.parametrize("cross_context", [False, True])
+    def test_corpus_batch_grid_equals_a_per_pair_loop(self, small_corpus, cross_context):
+        cfg = small_encoder_config()
+        qids = small_corpus.splits["train"].query_ids[:8]
+        batch = _make_samples(small_corpus, qids, need_desc=True)
+        fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, small_trainer_config(cross_context=cross_context))
+        _assert_grid_matches_pair_loop(fwd, 8)
+
+
+class TestDevNdcg:
+    def test_equals_the_mean_of_top_k_ndcg_over_dev_queries(self, trained_small, small_corpus):
+        split = small_corpus.splits["dev"]
+        docs = [trained_small.encode_page(small_corpus.patch_features(pid), pid) for pid in split.page_ids]
+        vals = []
+        for qid in split.query_ids:
+            q = small_corpus.queries[qid]
+            top = rank(trained_small.encode_query(q.tokens, qid), docs, 3)
+            vals.append(ndcg_at_k(top.doc_ids, set(q.relevant_page_ids), 3))
+        assert _dev_ndcg(trained_small, small_corpus, 3) == float(np.mean(vals))
+
+    def test_is_zero_without_dev_queries(self, trained_small, small_corpus):
+        tweaked = copy.deepcopy(small_corpus)
+        tweaked.splits["dev"].query_ids = []
+        assert _dev_ndcg(trained_small, tweaked, 3) == 0.0
 
 
 class TestGradCheck:
