@@ -6,6 +6,15 @@ stream gets the shared trainable global token appended as its final position,
 is contextualized by pre-norm self-attention layers, projected to the
 retrieval dimension, and row-normalized.
 
+Every forward runs on a stack of B equal-length sequences: `forward_tokens`
+takes one token sequence or a (B, L) id array, `forward_patches` one (P, F)
+feature matrix or a (B, P, F) stack, and a single sequence is the stack with
+B = 1. Each sequence's matmuls run as their own slices of numpy's stacked
+matmul, so a sequence encodes to the same bits alone or in any stack; the
+training step groups each stream of a batch by length and encodes one stack
+per length. `backward` takes the stack's output gradient and forms each
+weight gradient in one GEMM over all B * (L + 1) rows.
+
 Gradients are computed analytically (no autograd); the training module's
 gradient checker verifies them end-to-end against central finite differences.
 
@@ -150,8 +159,15 @@ def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return xhat * g + b, (xhat, inv, g)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """All rows of a stack as one (B * n, width) matrix."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _ln_backward(dout: np.ndarray, cache):
+    """Backward of _ln_forward over a stack, taking and returning (B * n, width) rows."""
     xhat, inv, g = cache
+    xhat, inv = _rows(xhat), _rows(inv)
     dg = (dout * xhat).sum(axis=0)
     db = dout.sum(axis=0)
     dxhat = dout * g
@@ -164,7 +180,7 @@ def _ln_backward(dout: np.ndarray, cache):
 
 
 def _gelu_forward(u: np.ndarray):
-    t = np.tanh(_GELU_C0 * (u + _GELU_C1 * u**3))
+    t = np.tanh(_GELU_C0 * (u + _GELU_C1 * (u * u * u)))  # u**3 calls pow() per element
     return 0.5 * u * (1.0 + t), t
 
 
@@ -205,36 +221,52 @@ class Encoder:
             return "global_token"
         return "global_token_text"
 
-    def _token_rows(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
-            raise ValueError(f"token sequence must be a nonempty 1-D list, got shape {ids.shape}")
+    def _token_rows(self, token_ids) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(embedded rows (B, L, m), ids (B, L), whether the input was one 1-D sequence)."""
+        try:
+            ids = np.asarray(token_ids, dtype=np.int64)
+        except ValueError:  # ragged nested lists
+            ids = None
+        if ids is None or ids.ndim not in (1, 2) or ids.size < 1:
+            got = "a ragged list" if ids is None else f"shape {ids.shape}"
+            raise ValueError(
+                f"token sequence must be a nonempty 1-D list or an equal-length (B, L) array, got {got}"
+            )
         if np.any(ids < 0) or np.any(ids >= self.config.vocab_size):
             bad = ids[(ids < 0) | (ids >= self.config.vocab_size)]
             raise ValueError(f"unknown token id(s) {bad.tolist()} (vocab_size {self.config.vocab_size})")
-        return self.params["tok_emb"][ids], ids
+        single = ids.ndim == 1
+        ids = np.atleast_2d(ids)
+        return self.params["tok_emb"][ids], ids, single
 
-    def _patch_rows(self, features: np.ndarray) -> np.ndarray:
+    def _patch_rows(self, features) -> tuple[np.ndarray, np.ndarray, bool]:
+        """(projected rows (B, P, m), features (B, P, F), whether the input was one matrix)."""
         feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1:
-            raise ConfigurationError(f"patch features must be a nonempty matrix, got shape {feats.shape}")
-        if feats.shape[1] != self.config.patch_feature_dim:
+        if feats.ndim not in (2, 3) or 0 in feats.shape[:-1]:
             raise ConfigurationError(
-                f"patch feature width {feats.shape[1]} != configured {self.config.patch_feature_dim}"
+                f"patch features must be a nonempty (P, F) matrix or (B, P, F) stack, got shape {feats.shape}"
             )
-        return feats @ self.params["patch_proj_w"] + self.params["patch_proj_b"]
+        if feats.shape[-1] != self.config.patch_feature_dim:
+            raise ConfigurationError(
+                f"patch feature width {feats.shape[-1]} != configured {self.config.patch_feature_dim}"
+            )
+        single = feats.ndim == 2
+        if single:
+            feats = feats[None]
+        return feats @ self.params["patch_proj_w"] + self.params["patch_proj_b"], feats, single
 
     # ----- transformer stack -----
 
     def _run_stack(self, x0: np.ndarray, provenance: dict) -> tuple[np.ndarray, dict]:
+        """Encode a (B, L, m) stack of content rows; returns rows (B, L + 1, d)."""
         cfg, p = self.config, self.params
-        n = x0.shape[0] + 1
+        B, n, m = x0.shape[0], x0.shape[1] + 1, cfg.model_dim
         if n > cfg.max_seq:
             raise ConfigurationError(f"sequence of {n} rows exceeds max_seq {cfg.max_seq}")
-        g_name = provenance["global_name"]
-        x = np.vstack([x0, p[g_name][None, :]]) + p["pos_emb"][:n]
+        g_row = np.broadcast_to(p[provenance["global_name"]], (B, 1, m))
+        x = np.concatenate([x0, g_row], axis=1) + p["pos_emb"][:n]
 
-        heads, dh = cfg.heads, cfg.model_dim // cfg.heads
+        heads, dh = cfg.heads, m // cfg.heads
         scale = 1.0 / np.sqrt(dh)
         h = x
         layer_caches = []
@@ -244,14 +276,14 @@ class Encoder:
             q = ln1_out @ p[pre + "attn_q_w"] + p[pre + "attn_q_b"]
             k = ln1_out @ p[pre + "attn_k_w"] + p[pre + "attn_k_b"]
             v = ln1_out @ p[pre + "attn_v_w"] + p[pre + "attn_v_b"]
-            qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
-            kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
-            vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
-            logits = (qh @ kh.transpose(0, 2, 1)) * scale
+            qh = q.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+            kh = k.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+            vh = v.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+            logits = (qh @ kh.swapaxes(-1, -2)) * scale
             logits -= logits.max(axis=-1, keepdims=True)
             e = np.exp(logits)
             att = e / e.sum(axis=-1, keepdims=True)
-            ctx = (att @ vh).transpose(1, 0, 2).reshape(n, cfg.model_dim)
+            ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(B, n, m)
             h1 = h + ctx @ p[pre + "attn_o_w"] + p[pre + "attn_o_b"]
             ln2_out, ln2_c = _ln_forward(h1, p[pre + "ln2_g"], p[pre + "ln2_b"])
             u = ln2_out @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
@@ -265,11 +297,10 @@ class Encoder:
 
         lnf_out, lnf_c = _ln_forward(h, p["final_ln_g"], p["final_ln_b"])
         z = lnf_out @ p["head_w"] + p["head_b"]
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
         safe = np.where(norms <= 1e-12, 1.0, norms)
         y = z / safe
         cache = {
-            "n": n,
             "layers": layer_caches,
             "lnf_out": lnf_out,
             "lnf_c": lnf_c,
@@ -280,48 +311,55 @@ class Encoder:
         return y, cache
 
     def forward_tokens(self, token_ids, stream: str = "text") -> tuple[np.ndarray, dict]:
-        """Encode a token sequence; returns (rows (L+1, d), backward cache)."""
-        x0, ids = self._token_rows(token_ids)
-        return self._run_stack(
+        """Encode one token sequence, returning (rows (L+1, d), backward cache),
+        or a (B, L) id array, returning (rows (B, L+1, d), backward cache)."""
+        x0, ids, single = self._token_rows(token_ids)
+        y, cache = self._run_stack(
             x0, {"kind": "tokens", "ids": ids, "global_name": self._global_name(stream)}
         )
+        return (y[0] if single else y), cache
 
     def forward_patches(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Encode a patch-feature matrix; returns (rows (L+1, d), backward cache)."""
-        feats = np.asarray(features, dtype=np.float64)
-        x0 = self._patch_rows(feats)
-        return self._run_stack(
+        """Encode one (P, F) patch-feature matrix, returning (rows (P+1, d),
+        backward cache), or a (B, P, F) stack, returning (rows (B, P+1, d), backward cache)."""
+        x0, feats, single = self._patch_rows(features)
+        y, cache = self._run_stack(
             x0, {"kind": "patches", "feats": feats, "global_name": self._global_name("visual")}
         )
+        return (y[0] if single else y), cache
 
     def forward_tokens_raw(self, token_ids) -> tuple[np.ndarray, dict]:
         """Embedding-layer-only encoding: token rows through the projection
         head and row normalization, with no positions, no attention stack,
         and no appended global row. Serves as the target in the
-        embedding-target variant of local alignment."""
-        x0, ids = self._token_rows(token_ids)
+        embedding-target variant of local alignment. Takes one sequence or a
+        (B, L) id array, like forward_tokens."""
+        x0, ids, single = self._token_rows(token_ids)
         z = x0 @ self.params["head_w"] + self.params["head_b"]
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
         safe = np.where(norms <= 1e-12, 1.0, norms)
-        return z / safe, {"kind": "raw_tokens", "ids": ids, "x0": x0, "y": z / safe, "norms": safe}
+        y = z / safe
+        return (y[0] if single else y), {"kind": "raw_tokens", "ids": ids, "x0": x0, "y": y, "norms": safe}
 
     def backward(self, cache: dict, d_y: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        """Accumulate d(loss)/d(params) into grads given d(loss)/d(output rows)."""
+        """Accumulate d(loss)/d(params) into grads given d(loss)/d(output rows),
+        shaped like the rows the forward returned."""
         cfg, p = self.config, self.params
+        y, norms = cache["y"], cache["norms"]
+        d_y = np.reshape(d_y, y.shape)
+        # Every gradient below is held as (B * n, width) rows, so each matmul
+        # is one GEMM over the whole stack.
+        dz = _rows((d_y - y * (d_y * y).sum(axis=-1, keepdims=True)) / norms)
         if cache["kind"] == "raw_tokens":
-            y, norms = cache["y"], cache["norms"]
-            dz = (d_y - y * (d_y * y).sum(axis=-1, keepdims=True)) / norms
-            grads["head_w"] += cache["x0"].T @ dz
+            grads["head_w"] += _rows(cache["x0"]).T @ dz
             grads["head_b"] += dz.sum(axis=0)
-            np.add.at(grads["tok_emb"], cache["ids"], dz @ p["head_w"].T)
+            np.add.at(grads["tok_emb"], cache["ids"].ravel(), dz @ p["head_w"].T)
             return
-        n = cache["n"]
-        heads, dh = cfg.heads, cfg.model_dim // cfg.heads
+        B, n, m = y.shape[0], y.shape[1], cfg.model_dim
+        heads, dh = cfg.heads, m // cfg.heads
         scale = 1.0 / np.sqrt(dh)
 
-        y, norms = cache["y"], cache["norms"]
-        dz = (d_y - y * (d_y * y).sum(axis=-1, keepdims=True)) / norms
-        grads["head_w"] += cache["lnf_out"].T @ dz
+        grads["head_w"] += _rows(cache["lnf_out"]).T @ dz
         grads["head_b"] += dz.sum(axis=0)
         dlnf_out = dz @ p["head_w"].T
         dh_res, dgf, dbf = _ln_backward(dlnf_out, cache["lnf_c"])
@@ -334,11 +372,11 @@ class Encoder:
             lc = cache["layers"][i]
             # feed-forward block: h = h1 + gelu(ln2(h1) @ w1 + b1) @ w2 + b2
             dff = d_hidden
-            grads[pre + "ff_w2"] += lc["a"].T @ dff
+            grads[pre + "ff_w2"] += _rows(lc["a"]).T @ dff
             grads[pre + "ff_b2"] += dff.sum(axis=0)
             da = dff @ p[pre + "ff_w2"].T
-            du = _gelu_backward(da, lc["u"], lc["t"])
-            grads[pre + "ff_w1"] += lc["ln2_out"].T @ du
+            du = _gelu_backward(da, _rows(lc["u"]), _rows(lc["t"]))
+            grads[pre + "ff_w1"] += _rows(lc["ln2_out"]).T @ du
             grads[pre + "ff_b1"] += du.sum(axis=0)
             dln2_out = du @ p[pre + "ff_w1"].T
             dh1_ln, dg2, db2 = _ln_backward(dln2_out, lc["ln2_c"])
@@ -347,22 +385,23 @@ class Encoder:
             dh1 = d_hidden + dh1_ln
             # attention block: h1 = h + (att @ v) @ wo + bo
             dattn = dh1
-            grads[pre + "attn_o_w"] += lc["ctx"].T @ dattn
+            grads[pre + "attn_o_w"] += _rows(lc["ctx"]).T @ dattn
             grads[pre + "attn_o_b"] += dattn.sum(axis=0)
-            dctx = (dattn @ p[pre + "attn_o_w"].T).reshape(n, heads, dh).transpose(1, 0, 2)
-            datt = dctx @ lc["vh"].transpose(0, 2, 1)
-            dvh = lc["att"].transpose(0, 2, 1) @ dctx
+            dctx = (dattn @ p[pre + "attn_o_w"].T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+            datt = dctx @ lc["vh"].swapaxes(-1, -2)
+            dvh = lc["att"].swapaxes(-1, -2) @ dctx
             dlogits = lc["att"] * (datt - (datt * lc["att"]).sum(axis=-1, keepdims=True))
             dqh = (dlogits * scale) @ lc["kh"]
-            dkh = (dlogits * scale).transpose(0, 2, 1) @ lc["qh"]
-            dq = dqh.transpose(1, 0, 2).reshape(n, cfg.model_dim)
-            dk = dkh.transpose(1, 0, 2).reshape(n, cfg.model_dim)
-            dv = dvh.transpose(1, 0, 2).reshape(n, cfg.model_dim)
-            grads[pre + "attn_q_w"] += lc["ln1_out"].T @ dq
+            dkh = (dlogits * scale).swapaxes(-1, -2) @ lc["qh"]
+            dq = dqh.transpose(0, 2, 1, 3).reshape(B * n, m)
+            dk = dkh.transpose(0, 2, 1, 3).reshape(B * n, m)
+            dv = dvh.transpose(0, 2, 1, 3).reshape(B * n, m)
+            ln1_rows = _rows(lc["ln1_out"])
+            grads[pre + "attn_q_w"] += ln1_rows.T @ dq
             grads[pre + "attn_q_b"] += dq.sum(axis=0)
-            grads[pre + "attn_k_w"] += lc["ln1_out"].T @ dk
+            grads[pre + "attn_k_w"] += ln1_rows.T @ dk
             grads[pre + "attn_k_b"] += dk.sum(axis=0)
-            grads[pre + "attn_v_w"] += lc["ln1_out"].T @ dv
+            grads[pre + "attn_v_w"] += ln1_rows.T @ dv
             grads[pre + "attn_v_b"] += dv.sum(axis=0)
             dln1_out = dq @ p[pre + "attn_q_w"].T + dk @ p[pre + "attn_k_w"].T + dv @ p[pre + "attn_v_w"].T
             dh_ln, dg1, db1 = _ln_backward(dln1_out, lc["ln1_c"])
@@ -370,13 +409,14 @@ class Encoder:
             grads[pre + "ln1_b"] += db1
             d_hidden = dh1 + dh_ln
 
-        grads["pos_emb"][:n] += d_hidden
-        grads[cache["global_name"]] += d_hidden[n - 1]
-        d_content = d_hidden[: n - 1]
+        d_hidden = d_hidden.reshape(B, n, m)
+        grads["pos_emb"][:n] += d_hidden.sum(axis=0)
+        grads[cache["global_name"]] += d_hidden[:, n - 1].sum(axis=0)
+        d_content = _rows(d_hidden[:, : n - 1])
         if cache["kind"] == "tokens":
-            np.add.at(grads["tok_emb"], cache["ids"], d_content)
+            np.add.at(grads["tok_emb"], cache["ids"].ravel(), d_content)
         else:
-            grads["patch_proj_w"] += cache["feats"].T @ d_content
+            grads["patch_proj_w"] += _rows(cache["feats"]).T @ d_content
             grads["patch_proj_b"] += d_content.sum(axis=0)
 
     # ----- public embedding API -----

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,21 +161,58 @@ def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:
 # ----- one batch, forward and backward -----
 
 
+class _Stack(NamedTuple):
+    """One encoder pass over the samples of a batch whose sequences share a length."""
+
+    idx: list[int]  # batch positions, in stack order
+    y: np.ndarray  # (len(idx), L + 1, d) output rows
+    cache: dict
+
+
+def _encode_by_length(forward, seqs: list) -> tuple[list[np.ndarray], list[_Stack]]:
+    """Run `forward` once per distinct sequence length, in order of first
+    appearance. Returns each sample's rows (views into its stack's output)
+    and the stacks."""
+    by_len: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        by_len.setdefault(len(s), []).append(i)
+    rows: list[np.ndarray] = [None] * len(seqs)
+    stacks = []
+    for idx in by_len.values():
+        y, cache = forward(np.stack([seqs[i] for i in idx]))
+        for k, i in enumerate(idx):
+            rows[i] = y[k]
+        stacks.append(_Stack(idx, y, cache))
+    return rows, stacks
+
+
+def _grad_buffers(stacks: list[_Stack], b: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Zeroed d(loss)/d(rows): one array per stack, and per sample a view into it."""
+    bufs = [np.zeros_like(s.y) for s in stacks]
+    views: list[np.ndarray] = [None] * b
+    for s, buf in zip(stacks, bufs):
+        for k, i in enumerate(s.idx):
+            views[i] = buf[k]
+    return bufs, views
+
+
 @dataclass
 class _BatchForward:
     """Everything the backward pass and the grad checker need from one batch."""
 
     q_out: list[np.ndarray]
-    q_cache: list[dict]
+    q_stacks: list[_Stack]
     d_out: list[np.ndarray]
-    d_cache: list[dict]
+    d_stacks: list[_Stack]
     g_out: list[np.ndarray] | None
-    g_cache: list[dict] | None
+    g_stacks: list[_Stack] | None
     raw_out: list[np.ndarray] | None
-    raw_cache: list[dict] | None
+    raw_stacks: list[_Stack] | None
     d_rows: list[np.ndarray]  # document-side MaxSim row stacks (incl. cross-context rows)
+    doc_stacks: list[tuple[list[int], np.ndarray]] | None  # d_rows grouped by row count for maxsim
     scores: np.ndarray | None
-    argmax: list[list[np.ndarray]] | None
+    argmax: list[list[np.ndarray]] | None  # [i][j]: matched row of document j per row of query i
+    grid_args: list[list[np.ndarray]] | None  # [i][s]: argmax of query i against doc_stacks[s]
     parts: dict[str, LossValue | None]
     value: float
     signature: tuple
@@ -183,30 +221,17 @@ class _BatchForward:
 
 def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfig) -> _BatchForward:
     b = len(batch)
-    q_out, q_cache, d_out, d_cache = [], [], [], []
-    for s in batch:
-        y, c = encoder.forward_tokens(s.query_tokens, stream="text")
-        q_out.append(y)
-        q_cache.append(c)
-        y, c = encoder.forward_patches(s.page_features)
-        d_out.append(y)
-        d_cache.append(c)
+    q_out, q_stacks = _encode_by_length(encoder.forward_tokens, [s.query_tokens for s in batch])
+    d_out, d_stacks = _encode_by_length(encoder.forward_patches, [s.page_features for s in batch])
 
-    g_out = g_cache = raw_out = raw_cache = None
+    g_out = g_stacks = raw_out = raw_stacks = None
     if cfg.needs_descriptors():
         if any(s.descriptor_tokens is None for s in batch):
             raise ConfigurationError("descriptors required by the enabled losses but missing from batch")
-        g_out, g_cache = [], []
-        for s in batch:
-            y, c = encoder.forward_tokens(s.descriptor_tokens, stream="text")
-            g_out.append(y)
-            g_cache.append(c)
+        desc = [s.descriptor_tokens for s in batch]
+        g_out, g_stacks = _encode_by_length(encoder.forward_tokens, desc)
         if cfg.enable_local and cfg.local_target == "embedding":
-            raw_out, raw_cache = [], []
-            for s in batch:
-                y, c = encoder.forward_tokens_raw(s.descriptor_tokens)
-                raw_out.append(y)
-                raw_cache.append(c)
+            raw_out, raw_stacks = _encode_by_length(encoder.forward_tokens_raw, desc)
 
     d_rows = []
     for j in range(b):
@@ -216,8 +241,7 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
             d_rows.append(d_out[j])
 
     sig_parts = []
-    scores = None
-    argmax: list[list[np.ndarray]] | None = None
+    doc_stacks = scores = argmax = grid_args = None
     retrieval_part = None
     if cfg.enable_retrieval:
         # Documents with equal row counts (all of them, unless cross-context
@@ -225,17 +249,20 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
         by_rows: dict[int, list[int]] = {}
         for j, rows in enumerate(d_rows):
             by_rows.setdefault(rows.shape[0], []).append(j)
-        stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
+        doc_stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
         scores = np.empty((b, b), dtype=np.float64)
-        argmax = []
+        argmax, grid_args = [], []
         for i in range(b):
             row_args: list[np.ndarray] = [None] * b
-            for js, stack in stacks:
+            stack_args = []
+            for js, stack in doc_stacks:
                 scores[i, js], args = maxsim(q_out[i], stack)
+                stack_args.append(args)
                 for j, arg in zip(js, args):
                     row_args[j] = arg
             sig_parts.extend(tuple(arg.tolist()) for arg in row_args)
             argmax.append(row_args)
+            grid_args.append(stack_args)
         retrieval_part = scale_loss(retrieval_infonce(scores, cfg.retrieval_tau), cfg.weight_retrieval)
 
     global_part = None
@@ -260,11 +287,40 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     parts = {"global": global_part, "local": local_part, "retrieval": retrieval_part}
     value = joint_loss(global_part, local_part, retrieval_part).value
     return _BatchForward(
-        q_out=q_out, q_cache=q_cache, d_out=d_out, d_cache=d_cache,
-        g_out=g_out, g_cache=g_cache, raw_out=raw_out, raw_cache=raw_cache,
-        d_rows=d_rows, scores=scores, argmax=argmax, parts=parts,
-        value=value, signature=tuple(sig_parts), local_values=local_values,
+        q_out=q_out, q_stacks=q_stacks, d_out=d_out, d_stacks=d_stacks,
+        g_out=g_out, g_stacks=g_stacks, raw_out=raw_out, raw_stacks=raw_stacks,
+        d_rows=d_rows, doc_stacks=doc_stacks, scores=scores, argmax=argmax, grid_args=grid_args,
+        parts=parts, value=value, signature=tuple(sig_parts), local_values=local_values,
     )
+
+
+def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Route d(loss)/d(scores) = w back through the MaxSim argmax.
+
+    Returns d(loss)/d(query rows), one array per query stack, and
+    d(loss)/d(document rows), one array per MaxSim document stack. Each query
+    row receives the document rows it matched, weighted by w; each matched
+    document row receives the weighted query row. One gather and one
+    scatter-add per (query stack, document stack) pair.
+    """
+    d_q = [np.zeros_like(s.y) for s in fwd.q_stacks]
+    d_docs = []
+    for s, (js, stack) in enumerate(fwd.doc_stacks):
+        n_d, L_d, dim = stack.shape
+        doc = np.arange(n_d)[:, None]
+        d_doc = np.zeros_like(stack)
+        for qs, dq in zip(fwd.q_stacks, d_q):
+            n_q, L_q = qs.y.shape[:2]
+            arg = np.stack([fwd.grid_args[i][s] for i in qs.idx])  # (n_q, n_d, L_q)
+            wq = w[np.ix_(qs.idx, js)]  # (n_q, n_d)
+            matched = stack[doc, arg].reshape(n_q, n_d, L_q * dim)
+            dq += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
+            # Scalar positions in the flattened stack: numpy's add.at is several
+            # times faster on 1-D indices and values than on rows.
+            pos = (((doc * L_d + arg) * dim)[..., None] + np.arange(dim)).ravel()
+            np.add.at(d_doc.reshape(-1), pos, (wq[:, :, None, None] * qs.y[:, None]).ravel())
+        d_docs.append(d_doc)
+    return d_q, d_docs
 
 
 def _backward_batch(
@@ -275,53 +331,41 @@ def _backward_batch(
     grads: dict[str, np.ndarray],
 ) -> None:
     b = len(batch)
-    d_q = [np.zeros_like(y) for y in fwd.q_out]
-    d_docrows = [np.zeros_like(r) for r in fwd.d_rows]
-    d_g = [np.zeros_like(y) for y in fwd.g_out] if fwd.g_out is not None else None
-    d_raw = [np.zeros_like(y) for y in fwd.raw_out] if fwd.raw_out is not None else None
+    # One gradient array per encoder stack; d_page[i] etc. are per-sample views into them.
+    d_page_bufs, d_page = _grad_buffers(fwd.d_stacks, b)
+    d_g_bufs, d_g = _grad_buffers(fwd.g_stacks or [], b)
+    d_raw_bufs, d_raw = _grad_buffers(fwd.raw_stacks or [], b)
 
     if cfg.enable_retrieval:
-        w = fwd.parts["retrieval"].gradients["scores"]
-        for i in range(b):
-            q_rows = fwd.q_out[i]
-            n_q = q_rows.shape[0]
-            for j in range(b):
-                wij = w[i, j]
-                if wij == 0.0:
-                    continue
-                arg = fwd.argmax[i][j]
-                d_q[i] += wij * fwd.d_rows[j][arg]
-                np.add.at(d_docrows[j], arg, wij * q_rows)
+        d_q_bufs, d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
+        for (js, _), d_doc in zip(fwd.doc_stacks, d_docs):
+            for k, j in enumerate(js):
+                n_doc = fwd.d_out[j].shape[0]
+                d_page[j] += d_doc[k, :n_doc]
+                if cfg.cross_context:
+                    d_g[j][:-1] += d_doc[k, n_doc:]
+    else:
+        d_q_bufs = [np.zeros_like(s.y) for s in fwd.q_stacks]
 
     if cfg.enable_global:
         gpart = fwd.parts["global"]
         for i in range(b):
-            lp = fwd.d_out[i].shape[0] - 1
-            d_docrows[i][lp] += gpart.gradients["visual_globals"][i]
+            d_page[i][-1] += gpart.gradients["visual_globals"][i]
             d_g[i][-1] += gpart.gradients["descriptor_globals"][i]
 
     if cfg.enable_local:
         for i, lv in enumerate(fwd.local_values):
-            lp = fwd.d_out[i].shape[0] - 1
-            d_docrows[i][:lp] += lv.gradients["patches"]
+            d_page[i][:-1] += lv.gradients["patches"]
             if cfg.local_target == "embedding":
                 d_raw[i] += lv.gradients["descriptor_tokens"]
             else:
                 d_g[i][:-1] += lv.gradients["descriptor_tokens"]
 
-    # Fixed ascending sample order for bit-reproducible accumulation.
-    for i in range(b):
-        encoder.backward(fwd.q_cache[i], d_q[i], grads)
-        n_doc = fwd.d_out[i].shape[0]
-        encoder.backward(fwd.d_cache[i], d_docrows[i][:n_doc], grads)
-        if d_g is not None:
-            dg = d_g[i]
-            if cfg.cross_context:
-                dg = dg.copy()
-                dg[:-1] += d_docrows[i][n_doc:]
-            encoder.backward(fwd.g_cache[i], dg, grads)
-        if d_raw is not None:
-            encoder.backward(fwd.raw_cache[i], d_raw[i], grads)
+    # One backward per stack, in a fixed order for bit-reproducible accumulation.
+    for stacks, bufs in ((fwd.q_stacks, d_q_bufs), (fwd.d_stacks, d_page_bufs),
+                         (fwd.g_stacks or [], d_g_bufs), (fwd.raw_stacks or [], d_raw_bufs)):
+        for stack, d_y in zip(stacks, bufs):
+            encoder.backward(stack.cache, d_y, grads)
 
 
 # ----- the training loop -----

@@ -13,6 +13,7 @@ from glint.encoder import (
     load_checkpoint,
     param_spec,
     save_checkpoint,
+    zero_grads,
 )
 from glint.errors import ConfigurationError, IntegrityError
 
@@ -157,6 +158,94 @@ class TestEncodeShapes:
         enc = Encoder.initialize(_cfg())
         with pytest.raises(ConfigurationError):
             enc.encode_page(np.zeros((3, 8)), page_id=0)
+
+
+class TestStackedEncoding:
+    """A (B, ...) stack runs every sequence through the same per-slice
+    arithmetic as encoding it alone, and its backward is the sum of the
+    per-sequence backwards."""
+
+    def test_stacked_patches_equal_one_sequence_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        cfg = _cfg()
+        enc = Encoder.initialize(cfg)
+        feats = rng.normal(size=(5, 4, cfg.patch_feature_dim))
+        stacked, _ = enc.forward_patches(feats)
+        assert stacked.shape == (5, 5, cfg.retrieval_dim)
+        for k in range(5):
+            alone, _ = enc.forward_patches(feats[k])
+            np.testing.assert_array_equal(stacked[k], alone)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_stacked_tokens_equal_one_sequence_bit_for_bit(self, share):
+        # share=False runs the text stream on its own global_token_text.
+        rng = np.random.default_rng(7)
+        cfg = _cfg(share_global_token=share)
+        enc = Encoder.initialize(cfg)
+        ids = rng.integers(0, cfg.vocab_size, size=(6, 3))
+        stacked, _ = enc.forward_tokens(ids)
+        assert stacked.shape == (6, 4, cfg.retrieval_dim)
+        for k in range(6):
+            alone, _ = enc.forward_tokens(ids[k].tolist())
+            np.testing.assert_array_equal(stacked[k], alone)
+            emb = enc.encode_query(ids[k].tolist(), query_id=k)
+            np.testing.assert_array_equal(emb.tokens, stacked[k, :-1])
+            np.testing.assert_array_equal(emb.global_vec, stacked[k, -1])
+
+    @pytest.mark.parametrize("kind", ["patches", "tokens", "raw_tokens"])
+    def test_stacked_backward_is_the_sum_of_per_sequence_backwards(self, kind):
+        rng = np.random.default_rng(8)
+        cfg = _cfg(share_global_token=False)
+        enc = Encoder.initialize(cfg)
+        if kind == "patches":
+            inputs, forward = rng.normal(size=(4, 5, cfg.patch_feature_dim)), enc.forward_patches
+        else:
+            # Repeated ids exercise the scatter-add into tok_emb.
+            inputs = rng.integers(0, 8, size=(4, 5))
+            forward = enc.forward_tokens if kind == "tokens" else enc.forward_tokens_raw
+        y, cache = forward(inputs)
+        d_y = rng.normal(size=y.shape)
+        stacked = zero_grads(cfg)
+        enc.backward(cache, d_y, stacked)
+        summed = zero_grads(cfg)
+        for k in range(4):
+            _, c = forward(inputs[k])
+            enc.backward(c, d_y[k], summed)
+        assert np.abs(summed["head_w"]).max() > 0
+        for name, ref in summed.items():
+            diff = np.abs(stacked[name] - ref).max()
+            if name.endswith("attn_k_b"):
+                # Softmax ignores a shift shared by every key: analytically zero.
+                assert np.abs(ref).max() < 1e-14 and np.abs(stacked[name]).max() < 1e-14, name
+            else:
+                assert diff <= 1e-12 * np.abs(ref).max(), (name, diff)
+
+    def test_rows_at_max_seq_encode_and_one_more_is_refused(self):
+        cfg = _cfg()
+        enc = Encoder.initialize(cfg)
+        fits = cfg.max_seq - 1  # content rows; the global row makes max_seq
+        assert enc.forward_tokens(list(range(fits)))[0].shape[0] == cfg.max_seq
+        assert enc.forward_tokens(np.zeros((3, fits), dtype=int))[0].shape[1] == cfg.max_seq
+        assert enc.forward_patches(np.zeros((fits, 9)))[0].shape[0] == cfg.max_seq
+        assert enc.forward_patches(np.zeros((3, fits, 9)))[0].shape[1] == cfg.max_seq
+        for too_long in (
+            lambda: enc.forward_tokens(list(range(fits + 1))),
+            lambda: enc.forward_tokens(np.zeros((3, fits + 1), dtype=int)),
+            lambda: enc.forward_patches(np.zeros((fits + 1, 9))),
+            lambda: enc.forward_patches(np.zeros((3, fits + 1, 9))),
+        ):
+            with pytest.raises(ConfigurationError, match="max_seq"):
+                too_long()
+
+    def test_ragged_empty_and_unknown_token_stacks_rejected(self):
+        enc = Encoder.initialize(_cfg())
+        for bad in ([[1, 2], [3]], [[]], np.zeros((0, 3), dtype=int), np.zeros((2, 0), dtype=int), []):
+            with pytest.raises(ValueError, match="token sequence must be a nonempty"):
+                enc.forward_tokens(bad)
+        with pytest.raises(ValueError, match=r"unknown token id\(s\) \[40\]"):
+            enc.forward_tokens([[1, 2], [3, 40]])
+        with pytest.raises(ConfigurationError):
+            enc.forward_patches(np.zeros((0, 3, 9)))
 
 
 class TestRawTokenPath:

@@ -19,6 +19,7 @@ from glint.training import (
     _dev_ndcg,
     _forward_batch,
     _make_samples,
+    _route_retrieval,
     _tiny_batch,
     _tiny_config,
     grad_check_encoder,
@@ -216,6 +217,36 @@ class TestScoreGrid:
         _assert_grid_matches_pair_loop(fwd, 8)
 
 
+class TestRetrievalRouting:
+    @pytest.mark.parametrize("cross_context", [False, True])
+    def test_stacked_routing_equals_the_per_pair_loop(self, cross_context):
+        cfg = _tiny_config(0)
+        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
+        b = 6
+        fwd = _forward_batch(Encoder(cfg, init_params(cfg)), _tiny_batch(np.random.default_rng(5), cfg, b=b), tcfg)
+        assert any(len(s.idx) > 1 for s in fwd.q_stacks)
+        w = np.random.default_rng(9).normal(size=(b, b))
+        w[0, 1] = w[3, :] = w[:, 4] = 0.0
+        # The per-pair loop the stacked routing replaced.
+        d_q = [np.zeros_like(y) for y in fwd.q_out]
+        d_doc = [np.zeros_like(r) for r in fwd.d_rows]
+        for i in range(b):
+            for j in range(b):
+                if w[i, j] == 0.0:
+                    continue
+                arg = fwd.argmax[i][j]
+                d_q[i] += w[i, j] * fwd.d_rows[j][arg]
+                np.add.at(d_doc[j], arg, w[i, j] * fwd.q_out[i])
+        q_stacks, doc_stacks = _route_retrieval(fwd, w)
+        for stack, got in zip(fwd.q_stacks, q_stacks):
+            for k, i in enumerate(stack.idx):
+                np.testing.assert_allclose(got[k], d_q[i], rtol=0, atol=1e-12)
+        for (js, _), got in zip(fwd.doc_stacks, doc_stacks):
+            for k, j in enumerate(js):
+                np.testing.assert_allclose(got[k], d_doc[j], rtol=0, atol=1e-12)
+        assert not d_q[3].any()
+
+
 class TestDevNdcg:
     def test_equals_the_mean_of_top_k_ndcg_over_dev_queries(self, trained_small, small_corpus):
         split = small_corpus.splits["dev"]
@@ -282,3 +313,18 @@ class TestGradCheck:
         assert report.n_excluded > 0
         assert report.passed, report.worst
         assert report.n_checked + report.n_excluded == 200
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"cross_context": True}, {"local_target": "embedding"}], ids=["default", "cross", "embedding"]
+    )
+    def test_finite_differences_reach_stacks_of_several_sequences(self, overrides):
+        # Six samples over three query, four page and four descriptor
+        # lengths: every stream encodes at least one stack with B > 1.
+        batch = _tiny_batch(np.random.default_rng(0), _tiny_config(0), b=6)
+        for lengths in ([len(s.query_tokens) for s in batch], [len(s.page_features) for s in batch],
+                        [len(s.descriptor_tokens) for s in batch]):
+            assert len(set(lengths)) < len(lengths)
+        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, **overrides)
+        report = grad_check_encoder(seed=0, batch=batch, trainer_config=tcfg)
+        assert report.passed, report.worst
+        assert report.n_checked >= 150
