@@ -33,7 +33,7 @@ from .errors import (
     IntegrityError,
     TrainingDivergedError,
 )
-from .evaluation import EvalReport, evaluate, qtype_breakdown, run_ablations
+from .evaluation import EvalReport, evaluate, run_ablations
 from .index_store import read_index, write_index
 from .losses import finite_diff_check, global_infonce, joint_loss, local_align, retrieval_infonce
 from .metrics import map_at_k, ndcg_at_k, spatial_entropy, wilcoxon_signed_rank
@@ -92,7 +92,6 @@ __all__ = [
     "maxsim_score",
     "ndcg_at_k",
     "pool_patches",
-    "qtype_breakdown",
     "rank",
     "read_index",
     "render_patch_features",

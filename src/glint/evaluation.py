@@ -1,9 +1,10 @@
 """Evaluation harness: per-query metrics, reports, and ablation orchestration.
 
 An EvalReport is the unit of output everywhere: one (variant, split) pair with
-per-query nDCG@k / MAP@k rows, overall and per-qtype means, and optional
-significance records. Reports render both as an aligned human-readable table
-and as delimited (variant, split, metric, value) rows.
+per-query nDCG@k / MAP@k rows and overall and per-qtype means. An
+AblationReport holds one per row, plus the optional significance record.
+Reports render both as an aligned human-readable table and as delimited
+(variant, split, metric, value) rows.
 
 Ablations mirror the scoring and training switch structure: three scoring-flag
 rows and three pooling rows reuse the base checkpoint, while loss-ablation
@@ -12,7 +13,6 @@ rows require their own trained checkpoints.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -43,7 +43,6 @@ class EvalReport:
     k: int
     results: list[QueryResult]
     skipped: list[int] = field(default_factory=list)
-    significance: list[dict] = field(default_factory=list)
 
     @property
     def overall(self) -> dict[str, float]:
@@ -81,11 +80,7 @@ class EvalReport:
         return rows
 
     def to_delimited(self) -> str:
-        buf = io.StringIO()
-        buf.write("variant,split,metric,value\n")
-        for variant, split, metric, value in self.to_rows():
-            buf.write(f"{variant},{split},{metric},{value:.10g}\n")
-        return buf.getvalue()
+        return _delimited(self.to_rows())
 
 
 def format_report_table(reports: list[EvalReport]) -> str:
@@ -114,8 +109,11 @@ def format_report_table(reports: list[EvalReport]) -> str:
     return "\n".join(out)
 
 
-def qtype_breakdown(report: EvalReport) -> dict[str, dict[str, float]]:
-    return report.by_qtype()
+def _delimited(rows: list[tuple[str, str, str, float]]) -> str:
+    """Render (variant, split, metric, value) rows as CSV with a header line."""
+    lines = ["variant,split,metric,value\n"]
+    lines.extend(f"{variant},{split},{metric},{value:.10g}\n" for variant, split, metric, value in rows)
+    return "".join(lines)
 
 
 def encode_split_docs(
@@ -278,11 +276,7 @@ class AblationReport:
         return rows
 
     def to_delimited(self) -> str:
-        buf = io.StringIO()
-        buf.write("variant,split,metric,value\n")
-        for variant, split, metric, value in self.to_rows():
-            buf.write(f"{variant},{split},{metric},{value:.10g}\n")
-        return buf.getvalue()
+        return _delimited(self.to_rows())
 
 
 def run_ablations(

@@ -59,9 +59,8 @@ def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
 def read_index(path) -> DocumentIndex:
     """Load an index, verifying magic, version, checksum, and exact length.
 
-    A record's patch rows and global row are contiguous in the file, so each
-    is copied once, straight from the file buffer into its slot of the
-    index's block for its row count.
+    Each record is read as a view of the file buffer, which the
+    DocumentIndex copies once into its block.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 4 + 12 + 4:
@@ -75,10 +74,9 @@ def read_index(path) -> DocumentIndex:
     if version != INDEX_VERSION:
         raise IntegrityError(f"{path}: unsupported index version {version}")
 
-    page_ids: list[int] = []
-    groups: dict[int, tuple[list[int], list[int]]] = {}  # patch rows -> (positions, row offsets)
+    docs = []
     off = 16
-    for pos in range(n_docs):
+    for _ in range(n_docs):
         if off + 12 > len(payload):
             raise IntegrityError(f"{path}: truncated document record")
         page_id, n_rows = struct.unpack_from("<QI", payload, off)
@@ -86,18 +84,9 @@ def read_index(path) -> DocumentIndex:
         need = (n_rows + 1) * d * 8
         if off + need > len(payload):
             raise IntegrityError(f"{path}: truncated vectors for page {page_id}")
-        page_ids.append(page_id)
-        positions, offsets = groups.setdefault(n_rows, ([], []))
-        positions.append(pos)
-        offsets.append(off)
+        rows = np.frombuffer(payload, dtype="<f8", count=(n_rows + 1) * d, offset=off).reshape(n_rows + 1, d)
+        docs.append(DocumentEmbedding(patches=rows[:-1], global_vec=rows[-1], page_id=page_id))
         off += need
     if off != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - off} trailing bytes after last record")
-
-    blocks = []
-    for n_rows, (positions, offsets) in groups.items():
-        block = np.empty((len(offsets), (n_rows + 1) * d), dtype=np.float64)
-        for slot, start in enumerate(offsets):
-            block[slot] = np.frombuffer(payload, dtype="<f8", count=(n_rows + 1) * d, offset=start)
-        blocks.append((positions, block.reshape(len(offsets), n_rows + 1, d)))
-    return DocumentIndex.from_blocks(page_ids, blocks)
+    return DocumentIndex(docs)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .embeddings import NORM_EPS
 from .errors import ConfigurationError, DegenerateInputError, DimensionMismatchError
-from .scoring import ScoreMatrix
 
 #: Default temperature for both contrastive losses.
 DEFAULT_TAU = 0.02
@@ -127,12 +126,10 @@ def local_align(
         margins = sorted_vals[:, -1] - sorted_vals[:, -2]
         ties = [int(k) for k in np.nonzero(margins < tie_tol)[0]]
 
-    d_p = np.zeros_like(pm)
+    c = best_vals[:, None]
+    d_p = -(e_unit[best] - c * p_unit) / p_norms
     d_e = np.zeros_like(em)
-    for k, j in enumerate(best):
-        c = best_vals[k]
-        d_p[k] = -(e_unit[j] - c * p_unit[k]) / p_norms[k, 0]
-        d_e[j] += -(p_unit[k] - c * e_unit[j]) / e_norms[j, 0]
+    np.add.at(d_e, best, -(p_unit - c * e_unit[best]) / e_norms[best])  # in patch-row order
     return LossValue(
         value=value,
         gradients={"patches": d_p, "descriptor_tokens": d_e},
@@ -140,14 +137,14 @@ def local_align(
     )
 
 
-def retrieval_infonce(scores: ScoreMatrix | np.ndarray, tau: float = DEFAULT_TAU) -> LossValue:
+def retrieval_infonce(scores: np.ndarray, tau: float = DEFAULT_TAU) -> LossValue:
     """InfoNCE over a square in-batch score grid with positives on the diagonal.
 
     Returns gradients w.r.t. the raw scores; the trainer chains them into the
     embedding rows through the MaxSim argmax structure.
     """
     tau = _check_tau(tau)
-    values = scores.values if isinstance(scores, ScoreMatrix) else np.asarray(scores, dtype=np.float64)
+    values = np.asarray(scores, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 1:
         raise ConfigurationError(f"retrieval_infonce: expected a square score matrix, got {values.shape}")
     b = values.shape[0]

@@ -7,7 +7,8 @@ exist so scoring ablations (drop patches / drop either global) reuse one code
 path. Inputs are assumed row-normalized, so dot products are cosines.
 
 Every MaxSim in the package goes through one kernel, `maxsim`, which scores a
-query against a stack of equally long documents with one batched matmul.
+query, or a stack of equally long queries, against a stack of equally long
+documents with one batched matmul.
 `DocumentIndex` keeps documents in that form: one contiguous
 (n_L, L + 1, d) block per distinct patch count L, patches first and the global
 row last, so a flag setting is a slice of the block. numpy runs the same 2-D
@@ -79,17 +80,21 @@ def query_rows(q: QueryEmbedding, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
 
 
 def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MaxSim of one query against a stack of documents with equal row counts.
+    """MaxSim of one query, or a stack of equally long queries, against a
+    stack of documents with equal row counts.
 
-    q_rows is (L_q, d) and d_rows is (n, L_d, d). Returns the n scores and, per
-    document and query row, the index of the best document row, shape
-    (n, L_q). np.argmax takes the lowest index on ties; each document's maxima
-    are summed in fixed query-row order.
+    q_rows is (L_q, d) or (n_q, L_q, d) and d_rows is (n_d, L_d, d). Returns
+    the scores, shape (n_d,) or (n_q, n_d), and per query, document and
+    query row the index of the best document row, shape (n_d, L_q) or
+    (n_q, n_d, L_q). np.argmax takes the lowest index on ties; each pair's
+    maxima are summed in fixed query-row order. Every (query, document) pair
+    is its own slice of one stacked matmul, so a stack of queries scores
+    bit-identically to one call per query.
     """
-    sims = q_rows @ d_rows.transpose(0, 2, 1)
-    arg = np.argmax(sims, axis=2)
-    best = np.take_along_axis(sims, arg[:, :, None], axis=2)[:, :, 0]
-    return np.sum(best, axis=1), arg
+    sims = q_rows[..., None, :, :] @ d_rows.transpose(0, 2, 1)
+    arg = np.argmax(sims, axis=-1)
+    best = np.take_along_axis(sims, arg[..., None], axis=-1)[..., 0]
+    return np.sum(best, axis=-1), arg
 
 
 class DocumentIndex(Sequence[DocumentEmbedding]):
@@ -106,7 +111,10 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         for pos, doc in enumerate(docs):
             groups.setdefault(doc.patches.shape[0], []).append(pos)
         dim = docs[0].global_vec.shape[0] if docs else 0
-        blocks = []
+        self._page_ids = tuple(doc.page_id for doc in docs)
+        self._id_keys = np.asarray(self._page_ids)
+        self._docs: list[DocumentEmbedding | None] = [None] * len(docs)
+        self._blocks = []
         for n_rows, positions in groups.items():
             block = np.empty((len(positions), n_rows + 1, dim), dtype=np.float64)
             for slot, pos in enumerate(positions):
@@ -117,44 +125,18 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
                     )
                 block[slot, :-1] = docs[pos].patches
                 block[slot, -1] = docs[pos].global_vec
-            blocks.append((positions, block))
-        self._init([doc.page_id for doc in docs], blocks)
-
-    @classmethod
-    def from_blocks(cls, page_ids: Sequence, blocks: list[tuple[list[int], np.ndarray]]) -> "DocumentIndex":
-        """Adopt filled blocks without copying. blocks holds (positions,
-        block) pairs: block[s] is the (L + 1, d) row stack, patches first,
-        of the document at position positions[s] of page_ids."""
-        index = cls.__new__(cls)
-        index._init(page_ids, blocks)
-        return index
-
-    def _init(self, page_ids: Sequence, blocks: list[tuple[list[int], np.ndarray]]) -> None:
-        self._page_ids = tuple(page_ids)
-        self._docs: list[DocumentEmbedding | None] = [None] * len(page_ids)
-        self._blocks = []
-        for positions, block in blocks:
             block.flags.writeable = False
             for slot, pos in enumerate(positions):
                 self._docs[pos] = DocumentEmbedding(
                     patches=block[slot, :-1], global_vec=block[slot, -1], page_id=self._page_ids[pos]
                 )
             self._blocks.append((np.asarray(positions, dtype=np.intp), block))
-        self._id_keys = np.asarray(self._page_ids)
 
     def __len__(self) -> int:
         return len(self._docs)
 
     def __getitem__(self, i):
         return self._docs[i]
-
-    def __eq__(self, other) -> bool:
-        """Equal to any sequence holding equal documents in the same order, as a list would be."""
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._docs == list(other)
-
-    __hash__ = None
 
     @property
     def page_ids(self) -> tuple:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import ConfigurationError, TrainingDivergedError
 from .evaluation import evaluate
 from .losses import (
     DEFAULT_TAU,
+    FiniteDiffReport,
     LossValue,
     global_infonce,
     joint_loss,
@@ -161,58 +161,49 @@ def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:
 # ----- one batch, forward and backward -----
 
 
-class _Stack(NamedTuple):
-    """One encoder pass over the samples of a batch whose sequences share a length."""
+class _Stream:
+    """One input stream of a batch (queries, pages, descriptors or raw
+    descriptor rows), encoded as one stack per sequence length in order of
+    first appearance.
 
-    idx: list[int]  # batch positions, in stack order
-    y: np.ndarray  # (len(idx), L + 1, d) output rows
-    cache: dict
+    Holds, per stack, its batch positions, output rows (B, L + 1, d), backward
+    cache and a zeroed d(loss)/d(rows) array. out[i] and grad[i] are sample
+    i's rows and gradient, views into its stack's arrays.
+    """
 
+    def __init__(self, forward, seqs: list):
+        by_len: dict[int, list[int]] = {}
+        for i, s in enumerate(seqs):
+            by_len.setdefault(len(s), []).append(i)
+        self.idx = list(by_len.values())
+        self.ys, self.caches, self.grads = [], [], []
+        self.out: list[np.ndarray] = [None] * len(seqs)
+        self.grad: list[np.ndarray] = [None] * len(seqs)
+        for idx in self.idx:
+            y, cache = forward(np.stack([seqs[i] for i in idx]))
+            d_y = np.zeros_like(y)
+            for k, i in enumerate(idx):
+                self.out[i], self.grad[i] = y[k], d_y[k]
+            self.ys.append(y)
+            self.caches.append(cache)
+            self.grads.append(d_y)
 
-def _encode_by_length(forward, seqs: list) -> tuple[list[np.ndarray], list[_Stack]]:
-    """Run `forward` once per distinct sequence length, in order of first
-    appearance. Returns each sample's rows (views into its stack's output)
-    and the stacks."""
-    by_len: dict[int, list[int]] = {}
-    for i, s in enumerate(seqs):
-        by_len.setdefault(len(s), []).append(i)
-    rows: list[np.ndarray] = [None] * len(seqs)
-    stacks = []
-    for idx in by_len.values():
-        y, cache = forward(np.stack([seqs[i] for i in idx]))
-        for k, i in enumerate(idx):
-            rows[i] = y[k]
-        stacks.append(_Stack(idx, y, cache))
-    return rows, stacks
-
-
-def _grad_buffers(stacks: list[_Stack], b: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Zeroed d(loss)/d(rows): one array per stack, and per sample a view into it."""
-    bufs = [np.zeros_like(s.y) for s in stacks]
-    views: list[np.ndarray] = [None] * b
-    for s, buf in zip(stacks, bufs):
-        for k, i in enumerate(s.idx):
-            views[i] = buf[k]
-    return bufs, views
+    def backward(self, encoder: Encoder, grads: dict[str, np.ndarray]) -> None:
+        for cache, d_y in zip(self.caches, self.grads):
+            encoder.backward(cache, d_y, grads)
 
 
 @dataclass
 class _BatchForward:
     """Everything the backward pass and the grad checker need from one batch."""
 
-    q_out: list[np.ndarray]
-    q_stacks: list[_Stack]
-    d_out: list[np.ndarray]
-    d_stacks: list[_Stack]
-    g_out: list[np.ndarray] | None
-    g_stacks: list[_Stack] | None
-    raw_out: list[np.ndarray] | None
-    raw_stacks: list[_Stack] | None
-    d_rows: list[np.ndarray]  # document-side MaxSim row stacks (incl. cross-context rows)
-    doc_stacks: list[tuple[list[int], np.ndarray]] | None  # d_rows grouped by row count for maxsim
+    q: _Stream
+    d: _Stream
+    g: _Stream | None  # descriptors, when a loss needs them
+    raw: _Stream | None  # raw descriptor rows, for local_target="embedding"
+    doc_stacks: list[tuple[list[int], np.ndarray]] | None  # MaxSim document rows (incl. cross-context) by count
     scores: np.ndarray | None
-    argmax: list[list[np.ndarray]] | None  # [i][j]: matched row of document j per row of query i
-    grid_args: list[list[np.ndarray]] | None  # [i][s]: argmax of query i against doc_stacks[s]
+    pair_args: list[list[np.ndarray]] | None  # [s][t]: (n_q, n_d, L_q) argmax of query stack t vs doc_stacks[s]
     parts: dict[str, LossValue | None]
     value: float
     signature: tuple
@@ -221,64 +212,55 @@ class _BatchForward:
 
 def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfig) -> _BatchForward:
     b = len(batch)
-    q_out, q_stacks = _encode_by_length(encoder.forward_tokens, [s.query_tokens for s in batch])
-    d_out, d_stacks = _encode_by_length(encoder.forward_patches, [s.page_features for s in batch])
+    q = _Stream(encoder.forward_tokens, [s.query_tokens for s in batch])
+    d = _Stream(encoder.forward_patches, [s.page_features for s in batch])
 
-    g_out = g_stacks = raw_out = raw_stacks = None
+    g = raw = None
     if cfg.needs_descriptors():
         if any(s.descriptor_tokens is None for s in batch):
             raise ConfigurationError("descriptors required by the enabled losses but missing from batch")
         desc = [s.descriptor_tokens for s in batch]
-        g_out, g_stacks = _encode_by_length(encoder.forward_tokens, desc)
+        g = _Stream(encoder.forward_tokens, desc)
         if cfg.enable_local and cfg.local_target == "embedding":
-            raw_out, raw_stacks = _encode_by_length(encoder.forward_tokens_raw, desc)
-
-    d_rows = []
-    for j in range(b):
-        if cfg.cross_context:
-            d_rows.append(np.vstack([d_out[j], g_out[j][:-1]]))
-        else:
-            d_rows.append(d_out[j])
+            raw = _Stream(encoder.forward_tokens_raw, desc)
 
     sig_parts = []
-    doc_stacks = scores = argmax = grid_args = None
+    doc_stacks = scores = pair_args = None
     retrieval_part = None
     if cfg.enable_retrieval:
         # Documents with equal row counts (all of them, unless cross-context
-        # rows vary) share one stack for the MaxSim kernel.
+        # rows vary) share one stack; one MaxSim call per (document stack,
+        # query stack) pair.
+        d_rows = [np.vstack([y, g.out[j][:-1]]) for j, y in enumerate(d.out)] if cfg.cross_context else d.out
         by_rows: dict[int, list[int]] = {}
         for j, rows in enumerate(d_rows):
             by_rows.setdefault(rows.shape[0], []).append(j)
         doc_stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
         scores = np.empty((b, b), dtype=np.float64)
-        argmax, grid_args = [], []
-        for i in range(b):
-            row_args: list[np.ndarray] = [None] * b
+        pair_args = []
+        for js, stack in doc_stacks:
             stack_args = []
-            for js, stack in doc_stacks:
-                scores[i, js], args = maxsim(q_out[i], stack)
-                stack_args.append(args)
-                for j, arg in zip(js, args):
-                    row_args[j] = arg
-            sig_parts.extend(tuple(arg.tolist()) for arg in row_args)
-            argmax.append(row_args)
-            grid_args.append(stack_args)
+            for idx, y in zip(q.idx, q.ys):
+                scores[np.ix_(idx, js)], arg = maxsim(y, stack)
+                stack_args.append(arg)
+                sig_parts.append(arg.tobytes())
+            pair_args.append(stack_args)
         retrieval_part = scale_loss(retrieval_infonce(scores, cfg.retrieval_tau), cfg.weight_retrieval)
 
     global_part = None
     if cfg.enable_global:
-        gv = np.vstack([y[-1] for y in d_out])
-        gd = np.vstack([y[-1] for y in g_out])
+        gv = np.vstack([y[-1] for y in d.out])
+        gd = np.vstack([y[-1] for y in g.out])
         global_part = scale_loss(global_infonce(gv, gd, cfg.tau), cfg.weight_global)
 
     local_part = None
     local_values = None
     if cfg.enable_local:
-        targets = raw_out if cfg.local_target == "embedding" else [y[:-1] for y in g_out]
+        targets = raw.out if cfg.local_target == "embedding" else [y[:-1] for y in g.out]
         local_values = []
         acc = 0.0
         for i in range(b):
-            lv = scale_loss(local_align(d_out[i][:-1], targets[i]), cfg.weight_local / b)
+            lv = scale_loss(local_align(d.out[i][:-1], targets[i]), cfg.weight_local / b)
             local_values.append(lv)
             acc += lv.value
             sig_parts.append(("local", i) + lv.tie_rows)
@@ -287,40 +269,36 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     parts = {"global": global_part, "local": local_part, "retrieval": retrieval_part}
     value = joint_loss(global_part, local_part, retrieval_part).value
     return _BatchForward(
-        q_out=q_out, q_stacks=q_stacks, d_out=d_out, d_stacks=d_stacks,
-        g_out=g_out, g_stacks=g_stacks, raw_out=raw_out, raw_stacks=raw_stacks,
-        d_rows=d_rows, doc_stacks=doc_stacks, scores=scores, argmax=argmax, grid_args=grid_args,
+        q=q, d=d, g=g, raw=raw, doc_stacks=doc_stacks, scores=scores, pair_args=pair_args,
         parts=parts, value=value, signature=tuple(sig_parts), local_values=local_values,
     )
 
 
-def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> list[np.ndarray]:
     """Route d(loss)/d(scores) = w back through the MaxSim argmax.
 
-    Returns d(loss)/d(query rows), one array per query stack, and
-    d(loss)/d(document rows), one array per MaxSim document stack. Each query
-    row receives the document rows it matched, weighted by w; each matched
-    document row receives the weighted query row. One gather and one
-    scatter-add per (query stack, document stack) pair.
+    Adds d(loss)/d(query rows) into the query stream's gradient arrays and
+    returns d(loss)/d(document rows), one array per MaxSim document stack.
+    Each query row receives the document rows it matched, weighted by w; each
+    matched document row receives the weighted query row. One gather and one
+    scatter-add per (document stack, query stack) pair.
     """
-    d_q = [np.zeros_like(s.y) for s in fwd.q_stacks]
     d_docs = []
-    for s, (js, stack) in enumerate(fwd.doc_stacks):
+    for (js, stack), stack_args in zip(fwd.doc_stacks, fwd.pair_args):
         n_d, L_d, dim = stack.shape
         doc = np.arange(n_d)[:, None]
         d_doc = np.zeros_like(stack)
-        for qs, dq in zip(fwd.q_stacks, d_q):
-            n_q, L_q = qs.y.shape[:2]
-            arg = np.stack([fwd.grid_args[i][s] for i in qs.idx])  # (n_q, n_d, L_q)
-            wq = w[np.ix_(qs.idx, js)]  # (n_q, n_d)
+        for idx, y, d_y, arg in zip(fwd.q.idx, fwd.q.ys, fwd.q.grads, stack_args):
+            n_q, L_q = y.shape[:2]
+            wq = w[np.ix_(idx, js)]  # (n_q, n_d)
             matched = stack[doc, arg].reshape(n_q, n_d, L_q * dim)
-            dq += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
+            d_y += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
             # Scalar positions in the flattened stack: numpy's add.at is several
             # times faster on 1-D indices and values than on rows.
             pos = (((doc * L_d + arg) * dim)[..., None] + np.arange(dim)).ravel()
-            np.add.at(d_doc.reshape(-1), pos, (wq[:, :, None, None] * qs.y[:, None]).ravel())
+            np.add.at(d_doc.reshape(-1), pos, (wq[:, :, None, None] * y[:, None]).ravel())
         d_docs.append(d_doc)
-    return d_q, d_docs
+    return d_docs
 
 
 def _backward_batch(
@@ -330,42 +308,32 @@ def _backward_batch(
     fwd: _BatchForward,
     grads: dict[str, np.ndarray],
 ) -> None:
-    b = len(batch)
-    # One gradient array per encoder stack; d_page[i] etc. are per-sample views into them.
-    d_page_bufs, d_page = _grad_buffers(fwd.d_stacks, b)
-    d_g_bufs, d_g = _grad_buffers(fwd.g_stacks or [], b)
-    d_raw_bufs, d_raw = _grad_buffers(fwd.raw_stacks or [], b)
-
+    d_page = fwd.d.grad
     if cfg.enable_retrieval:
-        d_q_bufs, d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
+        d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
         for (js, _), d_doc in zip(fwd.doc_stacks, d_docs):
             for k, j in enumerate(js):
-                n_doc = fwd.d_out[j].shape[0]
+                n_doc = fwd.d.out[j].shape[0]
                 d_page[j] += d_doc[k, :n_doc]
                 if cfg.cross_context:
-                    d_g[j][:-1] += d_doc[k, n_doc:]
-    else:
-        d_q_bufs = [np.zeros_like(s.y) for s in fwd.q_stacks]
+                    fwd.g.grad[j][:-1] += d_doc[k, n_doc:]
 
     if cfg.enable_global:
         gpart = fwd.parts["global"]
-        for i in range(b):
+        for i in range(len(batch)):
             d_page[i][-1] += gpart.gradients["visual_globals"][i]
-            d_g[i][-1] += gpart.gradients["descriptor_globals"][i]
+            fwd.g.grad[i][-1] += gpart.gradients["descriptor_globals"][i]
 
     if cfg.enable_local:
+        d_target = fwd.raw.grad if cfg.local_target == "embedding" else [g[:-1] for g in fwd.g.grad]
         for i, lv in enumerate(fwd.local_values):
             d_page[i][:-1] += lv.gradients["patches"]
-            if cfg.local_target == "embedding":
-                d_raw[i] += lv.gradients["descriptor_tokens"]
-            else:
-                d_g[i][:-1] += lv.gradients["descriptor_tokens"]
+            d_target[i] += lv.gradients["descriptor_tokens"]
 
     # One backward per stack, in a fixed order for bit-reproducible accumulation.
-    for stacks, bufs in ((fwd.q_stacks, d_q_bufs), (fwd.d_stacks, d_page_bufs),
-                         (fwd.g_stacks or [], d_g_bufs), (fwd.raw_stacks or [], d_raw_bufs)):
-        for stack, d_y in zip(stacks, bufs):
-            encoder.backward(stack.cache, d_y, grads)
+    for stream in (fwd.q, fwd.d, fwd.g, fwd.raw):
+        if stream is not None:
+            stream.backward(encoder, grads)
 
 
 # ----- the training loop -----
@@ -499,16 +467,6 @@ def train(
 # ----- end-to-end gradient verification -----
 
 
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    n_checked: int
-    n_excluded: int
-    tolerance: float
-    passed: bool
-    worst: tuple[str, tuple, float, float] | None = None
-
-
 def _tiny_config(seed: int) -> EncoderConfig:
     return EncoderConfig(
         model_dim=12,
@@ -548,7 +506,7 @@ def grad_check_encoder(
     tolerance: float = 1e-3,
     trainer_config: TrainerConfig | None = None,
     batch: list[TrainSample] | None = None,
-) -> GradCheckReport:
+) -> FiniteDiffReport:
     """Verify the full analytic gradient chain on a tiny random batch.
 
     Compares backprop against central differences for a random subset of at
@@ -606,7 +564,7 @@ def grad_check_encoder(
         if rel > max_rel:
             max_rel = rel
             worst = (name, idx, analytic, numeric)
-    return GradCheckReport(
+    return FiniteDiffReport(
         max_rel_error=max_rel,
         n_checked=n_checked,
         n_excluded=n_excluded,

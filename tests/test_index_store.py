@@ -68,7 +68,7 @@ class TestRoundTrip:
     def test_empty_index(self, tmp_path):
         path = tmp_path / "empty.idx"
         write_index([], path)
-        assert read_index(path) == []
+        assert len(read_index(path)) == 0
 
 
 class TestWriteValidation:

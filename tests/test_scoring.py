@@ -231,6 +231,16 @@ class TestMaxsimKernel:
                 ref, ref_arg = _loop_maxsim(q_rows, d_rows[j])
                 assert scores[j] == ref
                 np.testing.assert_array_equal(arg[j], ref_arg)
+        # A stack of queries scores as one 2-D call per query, bit for bit.
+        for n_q, l_q, n_d, l_d in ((20, 9, 32, 17), (12, 4, 32, 17), (3, 9, 5, 30), (1, 9, 4000, 17)):
+            q_stack = normalize_rows(rng.normal(size=(n_q * l_q, 16))).reshape(n_q, l_q, 16)
+            d_rows = normalize_rows(rng.normal(size=(n_d * l_d, 16))).reshape(n_d, l_d, 16)
+            scores, arg = maxsim(q_stack, d_rows)
+            assert scores.shape == (n_q, n_d) and arg.shape == (n_q, n_d, l_q)
+            for i in range(n_q):
+                ref, ref_arg = maxsim(q_stack[i], d_rows)
+                np.testing.assert_array_equal(scores[i], ref)
+                np.testing.assert_array_equal(arg[i], ref_arg)
 
     def test_a_patch_beats_the_global_row_on_an_exact_tie(self):
         q = _query([[1.0, 0.0]], [0.0, 1.0])

@@ -189,13 +189,27 @@ class TestTrainLoop:
         assert len(parsed["epochs"]) == 1
 
 
+def _pair_layout(fwd):
+    """Per-sample document rows and per-pair argmax, read from the stacks."""
+    d_rows, argmax = {}, {}
+    for (js, stack), stack_args in zip(fwd.doc_stacks, fwd.pair_args):
+        for k, j in enumerate(js):
+            d_rows[j] = stack[k]
+        for idx, arg in zip(fwd.q.idx, stack_args):
+            for a, i in enumerate(idx):
+                for k, j in enumerate(js):
+                    argmax[i, j] = arg[a, k]
+    return d_rows, argmax
+
+
 def _assert_grid_matches_pair_loop(fwd, b):
+    d_rows, argmax = _pair_layout(fwd)
     for i in range(b):
         for j in range(b):
-            sims = fwd.q_out[i] @ fwd.d_rows[j].T
+            sims = fwd.q.out[i] @ d_rows[j].T
             arg = np.argmax(sims, axis=1)
             assert fwd.scores[i, j] == float(np.sum(sims[np.arange(sims.shape[0]), arg]))
-            np.testing.assert_array_equal(fwd.argmax[i][j], arg)
+            np.testing.assert_array_equal(argmax[i, j], arg)
 
 
 class TestScoreGrid:
@@ -205,7 +219,8 @@ class TestScoreGrid:
         tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
         batch = _tiny_batch(np.random.default_rng(5), cfg, b=6)
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, tcfg)
-        assert len({rows.shape[0] for rows in fwd.d_rows}) > 1  # several stacks
+        assert len(fwd.doc_stacks) > 1  # several stacks
+        assert any(len(idx) > 1 for idx in fwd.q.idx)  # several queries per stack
         _assert_grid_matches_pair_loop(fwd, 6)
 
     @pytest.mark.parametrize("cross_context", [False, True])
@@ -224,23 +239,24 @@ class TestRetrievalRouting:
         tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
         b = 6
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), _tiny_batch(np.random.default_rng(5), cfg, b=b), tcfg)
-        assert any(len(s.idx) > 1 for s in fwd.q_stacks)
+        assert len(fwd.doc_stacks) > 1  # several stacks
+        assert any(len(idx) > 1 for idx in fwd.q.idx)  # several queries per stack
         w = np.random.default_rng(9).normal(size=(b, b))
         w[0, 1] = w[3, :] = w[:, 4] = 0.0
         # The per-pair loop the stacked routing replaced.
-        d_q = [np.zeros_like(y) for y in fwd.q_out]
-        d_doc = [np.zeros_like(r) for r in fwd.d_rows]
+        d_rows, argmax = _pair_layout(fwd)
+        d_q = [np.zeros_like(y) for y in fwd.q.out]
+        d_doc = {j: np.zeros_like(r) for j, r in d_rows.items()}
         for i in range(b):
             for j in range(b):
                 if w[i, j] == 0.0:
                     continue
-                arg = fwd.argmax[i][j]
-                d_q[i] += w[i, j] * fwd.d_rows[j][arg]
-                np.add.at(d_doc[j], arg, w[i, j] * fwd.q_out[i])
-        q_stacks, doc_stacks = _route_retrieval(fwd, w)
-        for stack, got in zip(fwd.q_stacks, q_stacks):
-            for k, i in enumerate(stack.idx):
-                np.testing.assert_allclose(got[k], d_q[i], rtol=0, atol=1e-12)
+                arg = argmax[i, j]
+                d_q[i] += w[i, j] * d_rows[j][arg]
+                np.add.at(d_doc[j], arg, w[i, j] * fwd.q.out[i])
+        doc_stacks = _route_retrieval(fwd, w)
+        for i in range(b):
+            np.testing.assert_allclose(fwd.q.grad[i], d_q[i], rtol=0, atol=1e-12)
         for (js, _), got in zip(fwd.doc_stacks, doc_stacks):
             for k, j in enumerate(js):
                 np.testing.assert_allclose(got[k], d_doc[j], rtol=0, atol=1e-12)
