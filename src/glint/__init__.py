@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evaluation import EvalReport, evaluate, run_ablations
 from .index_store import read_index, write_index
-from .losses import finite_diff_check, global_infonce, joint_loss, local_align, retrieval_infonce
+from .losses import finite_diff_check, global_infonce, local_align, retrieval_infonce
 from .metrics import map_at_k, ndcg_at_k, spatial_entropy, wilcoxon_signed_rank
 from .scoring import (
     ALL_ROWS,
@@ -82,7 +82,6 @@ __all__ = [
     "generate_descriptor",
     "global_infonce",
     "grad_check_encoder",
-    "joint_loss",
     "layout_features",
     "load_checkpoint",
     "load_config",

@@ -79,9 +79,12 @@ class RunConfig:
         }
 
 
-def _build_section(cls, data: dict, where: str):
+def _build_section(cls, data: dict, where: str, seed: int | None = None):
+    """Build one section; a top-level `seed` fills in a section seed left unset."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"config section {where!r} must be a mapping")
+    if seed is not None:
+        data = {"seed": seed, **data}
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - names)
     if unknown:
@@ -107,11 +110,12 @@ def config_from_dict(data: dict) -> RunConfig:
     if unknown_eval:
         raise ConfigurationError(f"config section 'eval' has unknown keys: {unknown_eval}")
 
+    seed = data.get("seed")
     return RunConfig(
-        seed=data.get("seed", 0),
-        corpus=_build_section(CorpusConfig, data.get("corpus", {}), "corpus"),
-        encoder=_build_section(EncoderConfig, data.get("encoder", {}), "encoder"),
-        trainer=_build_section(TrainerConfig, data.get("trainer", {}), "trainer"),
+        seed=0 if seed is None else seed,
+        corpus=_build_section(CorpusConfig, data.get("corpus", {}), "corpus", seed),
+        encoder=_build_section(EncoderConfig, data.get("encoder", {}), "encoder", seed),
+        trainer=_build_section(TrainerConfig, data.get("trainer", {}), "trainer", seed),
         scoring=_build_section(ScoringFlags, data.get("scoring", {}), "scoring"),
         eval_k=eval_section.get("k", 5),
         eval_split=eval_section.get("split", "test"),

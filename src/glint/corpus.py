@@ -24,6 +24,8 @@ Descriptors use only structural ids; queries mix structural and content ids.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -710,6 +712,8 @@ def _parse_lines(path: Path) -> list[dict]:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}:{i + 1}: invalid record: {exc}") from exc
+            if not isinstance(records[-1], dict):
+                raise ConfigurationError(f"{path}:{i + 1}: invalid record: not a JSON object")
     if not records or records[0].get("kind") != "header":
         raise ConfigurationError(f"{path}: missing header record")
     if records[0].get("schema_version") != SCHEMA_VERSION:
@@ -717,6 +721,17 @@ def _parse_lines(path: Path) -> list[dict]:
             f"{path}: unsupported schema_version {records[0].get('schema_version')!r}"
         )
     return records
+
+
+@contextmanager
+def _record_errors(path: Path, kind) -> Iterator[None]:
+    """Report a record with a missing or unknown field as a configuration error."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: {kind} record is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: malformed {kind} record: {exc}") from exc
 
 
 def load_corpus(path, with_descriptors: bool = False) -> Corpus:
@@ -734,23 +749,24 @@ def load_corpus(path, with_descriptors: bool = False) -> Corpus:
     splits: dict[str, Split] = {}
     for rec in records[1:]:
         kind = rec.get("kind")
-        if kind == "page":
-            regions = [Region(**r) for r in rec["regions"]]
-            pages[rec["page_id"]] = PageSpec(
-                page_id=rec["page_id"], n_rows=rec["n_rows"], n_cols=rec["n_cols"], regions=regions
-            )
-        elif kind == "query":
-            queries[rec["query_id"]] = QuerySpec(
-                query_id=rec["query_id"],
-                tokens=rec["tokens"],
-                qtype=rec["qtype"],
-                relevant_page_ids=rec["relevant_page_ids"],
-                distractor_page_ids=rec.get("distractor_page_ids", []),
-            )
-        elif kind == "split":
-            splits[rec["name"]] = Split(page_ids=rec["page_ids"], query_ids=rec["query_ids"])
-        else:
-            raise ConfigurationError(f"{path}: unknown record kind {kind!r}")
+        with _record_errors(path, kind):
+            if kind == "page":
+                regions = [Region(**r) for r in rec["regions"]]
+                pages[rec["page_id"]] = PageSpec(
+                    page_id=rec["page_id"], n_rows=rec["n_rows"], n_cols=rec["n_cols"], regions=regions
+                )
+            elif kind == "query":
+                queries[rec["query_id"]] = QuerySpec(
+                    query_id=rec["query_id"],
+                    tokens=rec["tokens"],
+                    qtype=rec["qtype"],
+                    relevant_page_ids=rec["relevant_page_ids"],
+                    distractor_page_ids=rec.get("distractor_page_ids", []),
+                )
+            elif kind == "split":
+                splits[rec["name"]] = Split(page_ids=rec["page_ids"], query_ids=rec["query_ids"])
+            else:
+                raise ConfigurationError(f"{path}: unknown record kind {kind!r}")
 
     descriptors = None
     if with_descriptors:
@@ -763,7 +779,8 @@ def load_corpus(path, with_descriptors: bool = False) -> Corpus:
         for rec in _parse_lines(dpath)[1:]:
             if rec.get("kind") != "descriptor":
                 raise ConfigurationError(f"{dpath}: unknown record kind {rec.get('kind')!r}")
-            descriptors[rec["page_id"]] = Descriptor(page_id=rec["page_id"], tokens=rec["tokens"])
+            with _record_errors(dpath, "descriptor"):
+                descriptors[rec["page_id"]] = Descriptor(page_id=rec["page_id"], tokens=rec["tokens"])
 
     corpus = Corpus(config=config, pages=pages, queries=queries, splits=splits, descriptors=descriptors)
     validate_corpus(corpus)

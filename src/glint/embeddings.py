@@ -1,4 +1,4 @@
-"""Embedding containers and numerically safe vector primitives.
+"""Embedding containers and L2 normalization.
 
 Embedding vectors are plain float64 numpy arrays of length d (the retrieval
 dimension). Every embedding row emitted by the encoder is L2-normalized, so
@@ -55,36 +55,6 @@ def normalize_rows(mat: np.ndarray) -> np.ndarray:
         warnings.warn("normalize_rows: zero-norm row left unchanged", DegenerateVectorWarning)
     safe = np.where((norms <= NORM_EPS) | (np.abs(norms - 1.0) <= UNIT_TOL), 1.0, norms)
     return mat / safe
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1].
-
-    Returns 0.0 (with a warning) when either input has zero norm; raises
-    DimensionMismatchError when lengths differ.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cosine: shapes {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= NORM_EPS or nb <= NORM_EPS:
-        warnings.warn("cosine: zero-norm input, returning 0.0", DegenerateVectorWarning)
-        return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def log_sum_exp(xs: np.ndarray) -> float:
-    """Stable log(sum(exp(xs))) via the max-shift identity.
-
-    Finite for any finite input; raises ValueError on empty input.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("log_sum_exp: empty input")
-    m = float(np.max(xs))
-    return m + float(np.log(np.sum(np.exp(xs - m))))
 
 
 def _check_rows(name: str, mat: np.ndarray) -> np.ndarray:

@@ -218,38 +218,21 @@ def compare_reports(report_a: EvalReport, report_b: EvalReport) -> dict:
     return record
 
 
-#: Ablation rows in emission order: the full model, three scoring-flag rows,
-#: two loss-trained rows, three pooling baselines.
-ABLATION_ROWS = (
-    "full",
-    "no_patch_rows",
-    "no_query_global",
-    "no_doc_global",
-    "loss_no_global",
-    "loss_no_local",
-    "pool_mean",
-    "pool_max",
-    "pool_median",
-)
-
-#: Which checkpoint each row scores with.
-_ROW_CHECKPOINT = {
-    "full": "full",
-    "no_patch_rows": "full",
-    "no_query_global": "full",
-    "no_doc_global": "full",
-    "loss_no_global": "loss_no_global",
-    "loss_no_local": "loss_no_local",
-    "pool_mean": "full",
-    "pool_max": "full",
-    "pool_median": "full",
+#: Ablation rows in emission order, each with the checkpoint it scores with,
+#: its scoring flags and its page-global pooling: the full model, three
+#: scoring-flag rows, two loss-trained rows, three pooling baselines.
+_ROWS = {
+    "full": ("full", ALL_ROWS, None),
+    "no_patch_rows": ("full", ScoringFlags(use_patches=False), None),
+    "no_query_global": ("full", ScoringFlags(use_query_global=False), None),
+    "no_doc_global": ("full", ScoringFlags(use_doc_global=False), None),
+    "loss_no_global": ("loss_no_global", ALL_ROWS, None),
+    "loss_no_local": ("loss_no_local", ALL_ROWS, None),
+    "pool_mean": ("full", ALL_ROWS, "mean"),
+    "pool_max": ("full", ALL_ROWS, "max"),
+    "pool_median": ("full", ALL_ROWS, "median"),
 }
-
-_ROW_FLAGS = {
-    "no_patch_rows": ScoringFlags(use_patches=False),
-    "no_query_global": ScoringFlags(use_query_global=False),
-    "no_doc_global": ScoringFlags(use_doc_global=False),
-}
+ABLATION_ROWS = tuple(_ROWS)
 
 
 @dataclass
@@ -308,19 +291,12 @@ def run_ablations(
 
     reports: dict[str, EvalReport] = {}
     for row in selected:
-        key = _ROW_CHECKPOINT[row]
+        key, flags, pooling = _ROWS[row]
         if key not in encoders:
             raise ConfigurationError(f"ablation row {row!r} requires checkpoint {key!r}")
-        pooling = row.removeprefix("pool_") if row.startswith("pool_") else None
         reports[row] = evaluate(
-            encoders[key],
-            corpus,
-            split=split,
-            k=k,
-            flags=_ROW_FLAGS.get(row, ALL_ROWS),
-            variant=row,
-            pooling=pooling,
-            base_docs=pages_of(key),
+            encoders[key], corpus, split=split, k=k, flags=flags, variant=row,
+            pooling=pooling, base_docs=pages_of(key),
         )
 
     significance: list[dict] = []

@@ -165,30 +165,6 @@ def scale_loss(lv: LossValue, factor: float) -> LossValue:
     )
 
 
-def joint_loss(
-    global_part: LossValue | None,
-    local_part: LossValue | None,
-    retrieval_part: LossValue | None,
-) -> LossValue:
-    """Unweighted sum of the enabled loss components.
-
-    Disabled components are passed as None; gradients for inputs shared
-    between components are summed, others are carried through unchanged.
-    """
-    parts = [p for p in (global_part, local_part, retrieval_part) if p is not None]
-    value = float(sum(p.value for p in parts))
-    gradients: dict[str, np.ndarray] = {}
-    ties: list[int] = []
-    for p in parts:
-        for key, grad in p.gradients.items():
-            if key in gradients:
-                gradients[key] = gradients[key] + grad
-            else:
-                gradients[key] = grad
-        ties.extend(p.tie_rows)
-    return LossValue(value=value, gradients=gradients, tie_rows=tuple(ties))
-
-
 @dataclass
 class FiniteDiffReport:
     """Outcome of comparing analytic gradients against central differences."""

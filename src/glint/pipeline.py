@@ -29,7 +29,7 @@ TRAIN_VARIANTS = {
 }
 
 #: Checkpoint role -> filename inside an ablation checkpoint directory.
-CHECKPOINT_ROLES = ("full", "loss_no_global", "loss_no_local", "retrieval_only")
+CHECKPOINT_ROLES = tuple(TRAIN_VARIANTS)
 
 
 def run_gen(config: RunConfig, out_path) -> dict:

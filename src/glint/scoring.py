@@ -200,6 +200,12 @@ def rank(
         raise ValueError(f"rank: k must be >= 1, got {k}")
     if not index:
         raise ConfigurationError("rank: empty document index")
+    q_dim, d_dim = q.global_vec.shape[0], index[0].global_vec.shape[0]
+    if q_dim != d_dim:
+        raise ConfigurationError(
+            f"rank: query rows have d={q_dim} but the index holds d={d_dim}; "
+            "were the index and the query encoded by different checkpoints?"
+        )
     if not isinstance(index, DocumentIndex):
         index = DocumentIndex(index)
     scores = index.scores(query_rows(q, flags), flags)

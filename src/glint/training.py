@@ -27,7 +27,6 @@ from .losses import (
     FiniteDiffReport,
     LossValue,
     global_infonce,
-    joint_loss,
     local_align,
     retrieval_infonce,
     scale_loss,
@@ -37,10 +36,10 @@ from .scoring import maxsim
 
 @dataclass
 class TrainerConfig:
-    """Optimization hyperparameters.
+    """Optimization hyperparameters (the desk-scale profile).
 
-    Defaults are the desk-scale profile; `reference_scale()` documents the
-    full-scale recipe (batch 128, lr 5e-5) for reference runs.
+    Retrieval InfoNCE at temperature `tau` is always on; the global and local
+    losses can be switched off for the ablation variants.
     """
 
     batch_size: int = 32
@@ -49,13 +48,10 @@ class TrainerConfig:
     warmup_steps: int = 100
     epochs: int = 6
     tau: float = DEFAULT_TAU
-    retrieval_tau: float | None = None  # defaults to tau
     enable_global: bool = True
     enable_local: bool = True
-    enable_retrieval: bool = True
     weight_global: float = 1.0
     weight_local: float = 1.0
-    weight_retrieval: float = 1.0
     early_stop_patience: int = 5
     seed: int = 0
     #: "contextualized" aligns patches to descriptor hidden states; "embedding"
@@ -67,25 +63,14 @@ class TrainerConfig:
     eval_k: int = 5
 
     def __post_init__(self):
-        if self.retrieval_tau is None:
-            self.retrieval_tau = self.tau
         if self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0 or self.tau <= 0 or self.retrieval_tau <= 0:
-            raise ConfigurationError("learning_rate and temperatures must be positive")
+        if self.learning_rate <= 0 or self.tau <= 0:
+            raise ConfigurationError("learning_rate and tau must be positive")
         if self.weight_decay < 0 or self.warmup_steps < 0 or self.epochs < 0:
             raise ConfigurationError("weight_decay, warmup_steps, epochs must be non-negative")
-        if not (self.enable_global or self.enable_local or self.enable_retrieval):
-            raise ConfigurationError("all loss switches off: nothing to optimize")
         if self.local_target not in ("contextualized", "embedding"):
             raise ConfigurationError(f"unknown local_target {self.local_target!r}")
-
-    @classmethod
-    def reference_scale(cls, **overrides) -> "TrainerConfig":
-        """The full-scale recipe: batch 128, lr 5e-5 (not practical at toy scale)."""
-        base = dict(batch_size=128, learning_rate=5e-5)
-        base.update(overrides)
-        return cls(**base)
 
     def needs_descriptors(self) -> bool:
         return self.enable_global or self.enable_local or self.cross_context
@@ -201,9 +186,9 @@ class _BatchForward:
     d: _Stream
     g: _Stream | None  # descriptors, when a loss needs them
     raw: _Stream | None  # raw descriptor rows, for local_target="embedding"
-    doc_stacks: list[tuple[list[int], np.ndarray]] | None  # MaxSim document rows (incl. cross-context) by count
-    scores: np.ndarray | None
-    pair_args: list[list[np.ndarray]] | None  # [s][t]: (n_q, n_d, L_q) argmax of query stack t vs doc_stacks[s]
+    doc_stacks: list[tuple[list[int], np.ndarray]]  # MaxSim document rows (incl. cross-context) by count
+    scores: np.ndarray
+    pair_args: list[list[np.ndarray]]  # [s][t]: (n_q, n_d, L_q) argmax of query stack t vs doc_stacks[s]
     parts: dict[str, LossValue | None]
     value: float
     signature: tuple
@@ -224,28 +209,25 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
         if cfg.enable_local and cfg.local_target == "embedding":
             raw = _Stream(encoder.forward_tokens_raw, desc)
 
+    # Documents with equal row counts (all of them, unless cross-context rows
+    # vary) share one stack; one MaxSim call per (document stack, query stack)
+    # pair.
     sig_parts = []
-    doc_stacks = scores = pair_args = None
-    retrieval_part = None
-    if cfg.enable_retrieval:
-        # Documents with equal row counts (all of them, unless cross-context
-        # rows vary) share one stack; one MaxSim call per (document stack,
-        # query stack) pair.
-        d_rows = [np.vstack([y, g.out[j][:-1]]) for j, y in enumerate(d.out)] if cfg.cross_context else d.out
-        by_rows: dict[int, list[int]] = {}
-        for j, rows in enumerate(d_rows):
-            by_rows.setdefault(rows.shape[0], []).append(j)
-        doc_stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
-        scores = np.empty((b, b), dtype=np.float64)
-        pair_args = []
-        for js, stack in doc_stacks:
-            stack_args = []
-            for idx, y in zip(q.idx, q.ys):
-                scores[np.ix_(idx, js)], arg = maxsim(y, stack)
-                stack_args.append(arg)
-                sig_parts.append(arg.tobytes())
-            pair_args.append(stack_args)
-        retrieval_part = scale_loss(retrieval_infonce(scores, cfg.retrieval_tau), cfg.weight_retrieval)
+    d_rows = [np.vstack([y, g.out[j][:-1]]) for j, y in enumerate(d.out)] if cfg.cross_context else d.out
+    by_rows: dict[int, list[int]] = {}
+    for j, rows in enumerate(d_rows):
+        by_rows.setdefault(rows.shape[0], []).append(j)
+    doc_stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
+    scores = np.empty((b, b), dtype=np.float64)
+    pair_args = []
+    for js, stack in doc_stacks:
+        stack_args = []
+        for idx, y in zip(q.idx, q.ys):
+            scores[np.ix_(idx, js)], arg = maxsim(y, stack)
+            stack_args.append(arg)
+            sig_parts.append(arg.tobytes())
+        pair_args.append(stack_args)
+    retrieval_part = retrieval_infonce(scores, cfg.tau)
 
     global_part = None
     if cfg.enable_global:
@@ -267,7 +249,7 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
         local_part = LossValue(value=acc)  # gradients stay per-sample in local_values
 
     parts = {"global": global_part, "local": local_part, "retrieval": retrieval_part}
-    value = joint_loss(global_part, local_part, retrieval_part).value
+    value = sum(p.value for p in parts.values() if p is not None)
     return _BatchForward(
         q=q, d=d, g=g, raw=raw, doc_stacks=doc_stacks, scores=scores, pair_args=pair_args,
         parts=parts, value=value, signature=tuple(sig_parts), local_values=local_values,
@@ -309,14 +291,13 @@ def _backward_batch(
     grads: dict[str, np.ndarray],
 ) -> None:
     d_page = fwd.d.grad
-    if cfg.enable_retrieval:
-        d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
-        for (js, _), d_doc in zip(fwd.doc_stacks, d_docs):
-            for k, j in enumerate(js):
-                n_doc = fwd.d.out[j].shape[0]
-                d_page[j] += d_doc[k, :n_doc]
-                if cfg.cross_context:
-                    fwd.g.grad[j][:-1] += d_doc[k, n_doc:]
+    d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
+    for (js, _), d_doc in zip(fwd.doc_stacks, d_docs):
+        for k, j in enumerate(js):
+            n_doc = fwd.d.out[j].shape[0]
+            d_page[j] += d_doc[k, :n_doc]
+            if cfg.cross_context:
+                fwd.g.grad[j][:-1] += d_doc[k, n_doc:]
 
     if cfg.enable_global:
         gpart = fwd.parts["global"]
@@ -438,9 +419,7 @@ def train(
                     "loss": fwd.value,
                     "loss_global": None if fwd.parts["global"] is None else fwd.parts["global"].value,
                     "loss_local": None if fwd.parts["local"] is None else fwd.parts["local"].value,
-                    "loss_retrieval": None
-                    if fwd.parts["retrieval"] is None
-                    else fwd.parts["retrieval"].value,
+                    "loss_retrieval": fwd.parts["retrieval"].value,
                 }
             )
             step += 1
@@ -519,7 +498,7 @@ def grad_check_encoder(
     if not (1e-6 <= epsilon <= 1e-3):
         raise ValueError(f"grad_check_encoder: epsilon {epsilon} outside [1e-6, 1e-3]")
     config = _tiny_config(seed)
-    tcfg = trainer_config or TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=seed)
+    tcfg = trainer_config or TrainerConfig(tau=0.5, seed=seed)
     rng = np.random.default_rng(seed)
     if batch is None:
         batch = _tiny_batch(rng, config)

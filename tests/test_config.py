@@ -38,6 +38,12 @@ class TestRunConfig:
         assert cfg.eval_k == 3
         assert cfg.trainer.epochs == 9
 
+    def test_top_level_seed_fills_every_unset_section_seed(self):
+        cfg = config_from_dict({"seed": 7})
+        assert (cfg.seed, cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (7, 7, 7, 7)
+        cfg = config_from_dict({"seed": 7, "corpus": {"seed": 2}})
+        assert (cfg.seed, cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (7, 2, 7, 7)
+
     def test_directional_profile(self):
         cfg = RunConfig.directional(seed=2)
         assert cfg.trainer.epochs == 150

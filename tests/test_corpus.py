@@ -1,5 +1,7 @@
 """Corpus generation: determinism, constructive guarantees, and the file format."""
 
+import json
+
 import numpy as np
 import pytest
 from conftest import small_corpus_config
@@ -373,10 +375,11 @@ class TestSerialization:
         path = tmp_path / "corpus.jsonl"
         save_corpus(small_corpus, path)
         lines = path.read_text().splitlines()
-        lines[3] = "{broken"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match=":4:"):
-            load_corpus(path)
+        for bad in ("{broken", "[1, 2]"):
+            lines[3] = bad
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigurationError, match=":4: invalid record"):
+                load_corpus(path)
 
     def test_missing_header_rejected(self, small_corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -402,3 +405,19 @@ class TestSerialization:
             fh.write('{"kind": "blob"}\n')
         with pytest.raises(ConfigurationError, match="unknown record kind"):
             load_corpus(path)
+
+    def test_malformed_page_record_names_file_and_kind(self, small_corpus, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(small_corpus, path)
+        lines = path.read_text().splitlines()
+        page = json.loads(lines[1])
+        no_regions = {k: v for k, v in page.items() if k != "regions"}
+        page["regions"][0]["colour"] = "red"
+        for rec, message in (
+            (no_regions, "page record is missing field 'regions'"),
+            (page, "malformed page record: .*'colour'"),
+        ):
+            lines[1] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigurationError, match=r"corpus\.jsonl: " + message):
+                load_corpus(path)

@@ -1,4 +1,4 @@
-"""Vector primitives: normalization, cosine, log-sum-exp, and containers."""
+"""Vector primitives: normalization and containers."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from glint.embeddings import (
     DegenerateVectorWarning,
     DocumentEmbedding,
     QueryEmbedding,
-    cosine,
     l2_normalize,
-    log_sum_exp,
     normalize_rows,
 )
 from glint.errors import DimensionMismatchError
@@ -33,56 +31,6 @@ class TestL2Normalize:
             v = rng.normal(size=rng.integers(1, 10))
             once = l2_normalize(v)
             np.testing.assert_array_equal(l2_normalize(once), once)
-
-
-class TestCosine:
-    def test_identical(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_value(self):
-        np.testing.assert_allclose(cosine(np.array([1.0, 2.0]), np.array([2.0, 1.0])), 0.8)
-
-    def test_scale_invariant_and_clamped(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a = rng.normal(size=5)
-            b = rng.normal(size=5)
-            c = cosine(a, b)
-            assert -1.0 <= c <= 1.0
-            np.testing.assert_allclose(cosine(3.7 * a, 0.2 * b), c, atol=1e-12)
-
-    def test_zero_norm_warns_and_returns_zero(self):
-        with pytest.warns(DegenerateVectorWarning):
-            assert cosine(np.zeros(2), np.array([1.0, 0.0])) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine(np.ones(2), np.ones(3))
-
-
-class TestLogSumExp:
-    def test_two_zeros(self):
-        np.testing.assert_allclose(log_sum_exp(np.array([0.0, 0.0])), np.log(2))
-
-    def test_shift_identity_at_large_magnitude(self):
-        # The naive formula overflows here; the shifted one must not.
-        np.testing.assert_allclose(log_sum_exp(np.array([1000.0, 1000.0])), 1000.0 + np.log(2))
-
-    def test_singleton(self):
-        assert log_sum_exp(np.array([5.0])) == 5.0
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            log_sum_exp(np.array([]))
-
-    def test_matches_naive_at_small_magnitude(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            xs = rng.normal(size=rng.integers(1, 8))
-            np.testing.assert_allclose(log_sum_exp(xs), np.log(np.sum(np.exp(xs))), rtol=1e-12)
 
 
 class TestNormalizeRows:

@@ -10,7 +10,6 @@ from glint.losses import (
     LossValue,
     finite_diff_check,
     global_infonce,
-    joint_loss,
     local_align,
     local_align_tie_exclusion,
     retrieval_infonce,
@@ -235,27 +234,7 @@ class TestRetrievalInfonce:
 
 
 class TestJointLoss:
-    def test_worked_example_sum(self):
-        g = global_infonce(I2, I2, tau=1.0)
-        l = local_align(I2, np.array([[0.6, 0.8]]))
-        r = retrieval_infonce(np.array([[2.0, 0.0], [0.0, 2.0]]), tau=1.0)
-        joint = joint_loss(g, l, r)
-        np.testing.assert_allclose(joint.value, -0.9598103014388045, rtol=0, atol=1e-12)
-
-    def test_disabled_parts_are_skipped(self):
-        l = local_align(I2, np.array([[0.6, 0.8]]))
-        joint = joint_loss(None, l, None)
-        assert joint.value == l.value
-        assert set(joint.gradients) == {"patches", "descriptor_tokens"}
-
-    def test_shared_gradient_keys_are_summed(self):
-        p1 = LossValue(1.0, {"x": np.ones(3)}, tie_rows=(1,))
-        p2 = LossValue(2.0, {"x": 2.0 * np.ones(3), "y": np.ones(2)}, tie_rows=(4,))
-        joint = joint_loss(p1, p2, None)
-        assert joint.value == 3.0
-        np.testing.assert_array_equal(joint.gradients["x"], 3.0 * np.ones(3))
-        np.testing.assert_array_equal(joint.gradients["y"], np.ones(2))
-        assert joint.tie_rows == (1, 4)
+    """scale_loss weights one component of the joint objective."""
 
     def test_scale_loss(self):
         lv = LossValue(2.0, {"x": np.ones(2)}, tie_rows=(0,))

@@ -194,6 +194,13 @@ class TestRank:
         with pytest.raises(ConfigurationError):
             rank(q, [], k=1)
 
+    def test_index_of_another_width_names_both_widths(self):
+        q = _query([[1.0, 0.0]], [0.0, 1.0])
+        d = _doc([[1.0, 0.0, 0.0]], [0.0, 1.0, 0.0])
+        for index in ([d], DocumentIndex([d])):
+            with pytest.raises(ConfigurationError, match="d=2 but the index holds d=3"):
+                rank(q, index, k=1)
+
     def test_returns_ranking_type(self):
         rng = np.random.default_rng(18)
         q, d = _random_pair(rng)

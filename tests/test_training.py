@@ -31,12 +31,7 @@ from glint.training import (
 class TestTrainerConfig:
     def test_defaults_are_consistent(self):
         cfg = TrainerConfig()
-        assert cfg.retrieval_tau == cfg.tau
         assert cfg.local_target == "contextualized"
-
-    def test_retrieval_tau_can_differ(self):
-        cfg = TrainerConfig(tau=0.02, retrieval_tau=0.5)
-        assert cfg.retrieval_tau == 0.5
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -47,15 +42,8 @@ class TestTrainerConfig:
             TrainerConfig(tau=-0.1)
         with pytest.raises(ConfigurationError):
             TrainerConfig(weight_decay=-1e-4)
-        with pytest.raises(ConfigurationError, match="nothing to optimize"):
-            TrainerConfig(enable_global=False, enable_local=False, enable_retrieval=False)
         with pytest.raises(ConfigurationError, match="local_target"):
             TrainerConfig(local_target="tokens")
-
-    def test_reference_scale_profile(self):
-        cfg = TrainerConfig.reference_scale()
-        assert cfg.batch_size == 128
-        assert cfg.learning_rate == 5e-5
 
     def test_descriptor_requirements(self):
         assert TrainerConfig().needs_descriptors()
@@ -216,7 +204,7 @@ class TestScoreGrid:
     @pytest.mark.parametrize("cross_context", [False, True])
     def test_tiny_batch_grid_equals_a_per_pair_loop(self, cross_context):
         cfg = _tiny_config(0)
-        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
+        tcfg = TrainerConfig(tau=0.5, seed=0, cross_context=cross_context)
         batch = _tiny_batch(np.random.default_rng(5), cfg, b=6)
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, tcfg)
         assert len(fwd.doc_stacks) > 1  # several stacks
@@ -236,7 +224,7 @@ class TestRetrievalRouting:
     @pytest.mark.parametrize("cross_context", [False, True])
     def test_stacked_routing_equals_the_per_pair_loop(self, cross_context):
         cfg = _tiny_config(0)
-        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, cross_context=cross_context)
+        tcfg = TrainerConfig(tau=0.5, seed=0, cross_context=cross_context)
         b = 6
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), _tiny_batch(np.random.default_rng(5), cfg, b=b), tcfg)
         assert len(fwd.doc_stacks) > 1  # several stacks
@@ -298,7 +286,7 @@ class TestGradCheck:
         # the boundary. There, parameter nudges flip the argmax and the
         # checker must skip those coordinates rather than compare garbage.
         cfg = _tiny_config(0)
-        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0)
+        tcfg = TrainerConfig(tau=0.5, seed=0)
         rng = np.random.default_rng(12)
         feats_a = rng.normal(size=(4, cfg.patch_feature_dim))
         feats_b = rng.normal(size=(4, cfg.patch_feature_dim))
@@ -340,7 +328,7 @@ class TestGradCheck:
         for lengths in ([len(s.query_tokens) for s in batch], [len(s.page_features) for s in batch],
                         [len(s.descriptor_tokens) for s in batch]):
             assert len(set(lengths)) < len(lengths)
-        tcfg = TrainerConfig(tau=0.5, retrieval_tau=0.5, seed=0, **overrides)
+        tcfg = TrainerConfig(tau=0.5, seed=0, **overrides)
         report = grad_check_encoder(seed=0, batch=batch, trainer_config=tcfg)
         assert report.passed, report.worst
         assert report.n_checked >= 150
