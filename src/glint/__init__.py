@@ -23,7 +23,7 @@ from .corpus import (
     save_corpus,
     validate_corpus,
 )
-from .embeddings import DescriptorEmbedding, DocumentEmbedding, QueryEmbedding
+from .embeddings import DocumentEmbedding, QueryEmbedding
 from .encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigurationError,
@@ -45,7 +45,6 @@ from .scoring import (
     maxsim_score,
     pool_patches,
     rank,
-    score_batch,
 )
 from .training import TrainerConfig, grad_check_encoder, train
 
@@ -58,7 +57,6 @@ __all__ = [
     "CorpusConfig",
     "DegenerateInputError",
     "Descriptor",
-    "DescriptorEmbedding",
     "DimensionMismatchError",
     "DocumentEmbedding",
     "DocumentIndex",
@@ -99,7 +97,6 @@ __all__ = [
     "save_checkpoint",
     "save_config",
     "save_corpus",
-    "score_batch",
     "spatial_entropy",
     "train",
     "validate_corpus",

@@ -592,6 +592,7 @@ def validate_corpus(corpus: Corpus) -> None:
             if prior != key:
                 raise ConfigurationError(f"different arrangements share a descriptor (page {pid})")
 
+    content = {pid: page.content_token_set() for pid, page in corpus.pages.items()}
     for q in corpus.queries.values():
         if not q.relevant_page_ids:
             raise ConfigurationError(f"query {q.query_id} has no relevant pages")
@@ -607,24 +608,23 @@ def validate_corpus(corpus: Corpus) -> None:
                         f"global query {q.query_id}: relevant page {pid} fails its own pattern"
                     )
             for pid in q.distractor_page_ids:
-                page = corpus.pages[pid]
-                if pattern_satisfied(page, clauses):
+                if pattern_satisfied(corpus.pages[pid], clauses):
                     raise ConfigurationError(
                         f"global query {q.query_id}: distractor {pid} satisfies the pattern"
                     )
-                if not (q_content & page.content_token_set()):
+                if not (q_content & content[pid]):
                     raise ConfigurationError(
                         f"global query {q.query_id}: distractor {pid} shares no content token"
                     )
         elif q.qtype == "local":
             toks = set(q.tokens)
             host = q.relevant_page_ids[0]
-            if not toks <= corpus.pages[host].content_token_set():
+            if not toks <= content[host]:
                 raise ConfigurationError(
                     f"local query {q.query_id}: host page {host} lacks some query tokens"
                 )
-            for pid, page in corpus.pages.items():
-                if pid not in q.relevant_page_ids and toks <= page.content_token_set():
+            for pid, page_content in content.items():
+                if pid not in q.relevant_page_ids and toks <= page_content:
                     raise ConfigurationError(
                         f"local query {q.query_id}: page {pid} also covers all query tokens"
                     )

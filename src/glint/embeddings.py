@@ -97,23 +97,3 @@ class QueryEmbedding:
                 f"QueryEmbedding: global {self.global_vec.shape} vs tokens {self.tokens.shape}"
             )
 
-
-@dataclass
-class DescriptorEmbedding:
-    """Contextualized descriptor token states plus the descriptor global row.
-
-    Used only as a training target and by the cross-context oracle; nothing on
-    the normal inference path accepts this type.
-    """
-
-    tokens: np.ndarray  # (L_g, d)
-    global_vec: np.ndarray  # (d,)
-    page_id: int | None = None
-
-    def __post_init__(self):
-        self.tokens = _check_rows("DescriptorEmbedding.tokens", self.tokens)
-        self.global_vec = np.asarray(self.global_vec, dtype=np.float64)
-        if self.global_vec.shape != (self.tokens.shape[1],):
-            raise DimensionMismatchError(
-                f"DescriptorEmbedding: global {self.global_vec.shape} vs tokens {self.tokens.shape}"
-            )

@@ -1,10 +1,10 @@
 """A small transformer encoder with hand-derived backpropagation.
 
-One encoder backbone serves three input streams: page patches (projected
-feature rows), query tokens, and descriptor tokens (embedding lookups). Every
-stream gets the shared trainable global token appended as its final position,
-is contextualized by pre-norm self-attention layers, projected to the
-retrieval dimension, and row-normalized.
+One encoder backbone serves two input kinds: page patches (projected feature
+rows) and tokens (embedding lookups), which carry both queries and layout
+descriptors. Every input gets the shared trainable global token appended as
+its final position, is contextualized by pre-norm self-attention layers,
+projected to the retrieval dimension, and row-normalized.
 
 Every forward runs on a stack of B equal-length sequences: `forward_tokens`
 takes one token sequence or a (B, L) id array, `forward_patches` one (P, F)
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import DescriptorEmbedding, DocumentEmbedding, QueryEmbedding
+from .embeddings import DocumentEmbedding, QueryEmbedding
 from .errors import ConfigurationError, IntegrityError
 
 CHECKPOINT_MAGIC = b"GDFT"
@@ -191,10 +191,10 @@ def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray):
 
 class Encoder:
     """Config + parameters with forward/backward passes and the public
-    encode_page / encode_query / encode_descriptor API.
+    encode_page / encode_query API.
 
-    Weight sharing across streams is structural: all three encode paths run
-    the same parameter dict through the same forward code.
+    Weight sharing across inputs is structural: patches, queries and
+    descriptors run the same parameter dict through the same forward code.
     """
 
     def __init__(self, config: EncoderConfig, params: dict[str, np.ndarray]):
@@ -215,11 +215,6 @@ class Encoder:
         return cls(config, init_params(config))
 
     # ----- input embedding -----
-
-    def _global_name(self, stream: str) -> str:
-        if stream == "visual" or self.config.share_global_token:
-            return "global_token"
-        return "global_token_text"
 
     def _token_rows(self, token_ids) -> tuple[np.ndarray, np.ndarray, bool]:
         """(embedded rows (B, L, m), ids (B, L), whether the input was one 1-D sequence)."""
@@ -263,7 +258,9 @@ class Encoder:
         B, n, m = x0.shape[0], x0.shape[1] + 1, cfg.model_dim
         if n > cfg.max_seq:
             raise ConfigurationError(f"sequence of {n} rows exceeds max_seq {cfg.max_seq}")
-        g_row = np.broadcast_to(p[provenance["global_name"]], (B, 1, m))
+        shared = provenance["kind"] == "patches" or cfg.share_global_token
+        global_name = "global_token" if shared else "global_token_text"
+        g_row = np.broadcast_to(p[global_name], (B, 1, m))
         x = np.concatenate([x0, g_row], axis=1) + p["pos_emb"][:n]
 
         heads, dh = cfg.heads, m // cfg.heads
@@ -306,40 +303,24 @@ class Encoder:
             "lnf_c": lnf_c,
             "y": y,
             "norms": safe,
+            "global_name": global_name,
             **provenance,
         }
         return y, cache
 
-    def forward_tokens(self, token_ids, stream: str = "text") -> tuple[np.ndarray, dict]:
+    def forward_tokens(self, token_ids) -> tuple[np.ndarray, dict]:
         """Encode one token sequence, returning (rows (L+1, d), backward cache),
         or a (B, L) id array, returning (rows (B, L+1, d), backward cache)."""
         x0, ids, single = self._token_rows(token_ids)
-        y, cache = self._run_stack(
-            x0, {"kind": "tokens", "ids": ids, "global_name": self._global_name(stream)}
-        )
+        y, cache = self._run_stack(x0, {"kind": "tokens", "ids": ids})
         return (y[0] if single else y), cache
 
     def forward_patches(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
         """Encode one (P, F) patch-feature matrix, returning (rows (P+1, d),
         backward cache), or a (B, P, F) stack, returning (rows (B, P+1, d), backward cache)."""
         x0, feats, single = self._patch_rows(features)
-        y, cache = self._run_stack(
-            x0, {"kind": "patches", "feats": feats, "global_name": self._global_name("visual")}
-        )
+        y, cache = self._run_stack(x0, {"kind": "patches", "feats": feats})
         return (y[0] if single else y), cache
-
-    def forward_tokens_raw(self, token_ids) -> tuple[np.ndarray, dict]:
-        """Embedding-layer-only encoding: token rows through the projection
-        head and row normalization, with no positions, no attention stack,
-        and no appended global row. Serves as the target in the
-        embedding-target variant of local alignment. Takes one sequence or a
-        (B, L) id array, like forward_tokens."""
-        x0, ids, single = self._token_rows(token_ids)
-        z = x0 @ self.params["head_w"] + self.params["head_b"]
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
-        safe = np.where(norms <= 1e-12, 1.0, norms)
-        y = z / safe
-        return (y[0] if single else y), {"kind": "raw_tokens", "ids": ids, "x0": x0, "y": y, "norms": safe}
 
     def backward(self, cache: dict, d_y: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Accumulate d(loss)/d(params) into grads given d(loss)/d(output rows),
@@ -350,11 +331,6 @@ class Encoder:
         # Every gradient below is held as (B * n, width) rows, so each matmul
         # is one GEMM over the whole stack.
         dz = _rows((d_y - y * (d_y * y).sum(axis=-1, keepdims=True)) / norms)
-        if cache["kind"] == "raw_tokens":
-            grads["head_w"] += _rows(cache["x0"]).T @ dz
-            grads["head_b"] += dz.sum(axis=0)
-            np.add.at(grads["tok_emb"], cache["ids"].ravel(), dz @ p["head_w"].T)
-            return
         B, n, m = y.shape[0], y.shape[1], cfg.model_dim
         heads, dh = cfg.heads, m // cfg.heads
         scale = 1.0 / np.sqrt(dh)
@@ -428,17 +404,8 @@ class Encoder:
 
     def encode_query(self, token_ids, query_id) -> QueryEmbedding:
         """Token rows + appended global token -> QueryEmbedding."""
-        y, _ = self.forward_tokens(token_ids, stream="text")
+        y, _ = self.forward_tokens(token_ids)
         return QueryEmbedding(tokens=y[:-1], global_vec=y[-1], query_id=query_id)
-
-    def encode_descriptor(self, token_ids, page_id: int | None = None) -> DescriptorEmbedding:
-        """Descriptor token rows + appended global token -> DescriptorEmbedding.
-
-        Runs exactly the query path (shared weights); only the container type
-        differs, which keeps descriptors off the inference API by type.
-        """
-        y, _ = self.forward_tokens(token_ids, stream="text")
-        return DescriptorEmbedding(tokens=y[:-1], global_vec=y[-1], page_id=page_id)
 
 
 # ----- checkpoint persistence -----

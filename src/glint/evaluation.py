@@ -31,7 +31,6 @@ class QueryResult:
     query_id: int
     qtype: str
     ranking: list[int]
-    relevant: set[int]
     ndcg: float
     map_: float
 
@@ -151,8 +150,8 @@ def encode_split_docs(
             doc = encoder.encode_page(corpus.patch_features(pid), pid)
         patches = doc.patches
         if cross_context:
-            desc = encoder.encode_descriptor(corpus.descriptors[pid].tokens, pid)
-            patches = np.vstack([patches, desc.tokens])
+            desc_rows, _ = encoder.forward_tokens(corpus.descriptors[pid].tokens)
+            patches = np.vstack([patches, desc_rows[:-1]])
         global_vec = pool_patches(doc.patches, pooling) if pooling is not None else doc.global_vec
         docs.append(DocumentEmbedding(patches=patches, global_vec=global_vec, page_id=pid))
     return docs
@@ -189,7 +188,6 @@ def evaluate(
                 query_id=qid,
                 qtype=q.qtype,
                 ranking=ranking.doc_ids,
-                relevant=relevant,
                 ndcg=ndcg_at_k(ranking.doc_ids, relevant, k),
                 map_=map_at_k(ranking.doc_ids, relevant, k),
             )

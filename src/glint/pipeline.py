@@ -11,13 +11,15 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig
-from .corpus import descriptor_path, generate_corpus, load_corpus, save_corpus
+from .corpus import Corpus, descriptor_path, generate_corpus, load_corpus, save_corpus
 from .encoder import Encoder, load_checkpoint, save_checkpoint
 from .errors import ConfigurationError, TrainingDivergedError
 from .evaluation import AblationReport, EvalReport, evaluate, run_ablations
 from .index_store import read_index, write_index
-from .scoring import ALL_ROWS, Ranking, ScoringFlags, rank
+from .scoring import ALL_ROWS, DocumentIndex, Ranking, ScoringFlags, rank
 from .training import TrainerConfig, train
 
 #: Loss-switch overrides for trainable ablation variants.
@@ -141,7 +143,10 @@ def run_eval(config: RunConfig, corpus_path, checkpoint_path, index_path=None,
     corpus = load_corpus(corpus_path, with_descriptors=cross)
     enc_config, params, _ = load_checkpoint(checkpoint_path)
     encoder = Encoder(enc_config, params)
-    base_docs = read_index(index_path) if index_path is not None else None
+    base_docs = None
+    if index_path is not None:
+        base_docs = read_index(index_path)
+        _check_index_matches(encoder, corpus, config.eval_split, base_docs, index_path)
     return evaluate(
         encoder,
         corpus,
@@ -152,6 +157,26 @@ def run_eval(config: RunConfig, corpus_path, checkpoint_path, index_path=None,
         cross_context=cross,
         base_docs=base_docs,
     )
+
+
+def _check_index_matches(encoder: Encoder, corpus: Corpus, split: str, docs: DocumentIndex, index_path) -> None:
+    """Refuse an index of another corpus or checkpoint, which the index does not
+    record: the split's first page, re-encoded, must match its indexed rows. A
+    page absent from the index is left to evaluate's own error."""
+    page_ids = corpus.splits[split].page_ids if split in corpus.splits else []
+    if not page_ids or page_ids[0] not in docs.page_ids:
+        return
+    pid = page_ids[0]
+    indexed = docs[docs.page_ids.index(pid)]
+    fresh = encoder.encode_page(corpus.patch_features(pid), pid)
+    if indexed.patches.shape != fresh.patches.shape or not (
+        np.allclose(indexed.patches, fresh.patches, rtol=0.0, atol=1e-9)
+        and np.allclose(indexed.global_vec, fresh.global_vec, rtol=0.0, atol=1e-9)
+    ):
+        raise ConfigurationError(
+            f"index {index_path} does not hold page {pid} as this checkpoint encodes it; "
+            "was it built from another corpus or checkpoint?"
+        )
 
 
 def run_ablate(config: RunConfig, corpus_path, checkpoint_dir) -> AblationReport:

@@ -13,7 +13,7 @@ documents with one batched matmul.
 (n_L, L + 1, d) block per distinct patch count L, patches first and the global
 row last, so a flag setting is a slice of the block. numpy runs the same 2-D
 product on every slice of a stack, so a document's score does not depend on
-which other documents share its block: pairwise, batch and ranked scores are
+which other documents share its block: pairwise and ranked scores are
 bit-identical by construction.
 """
 
@@ -44,23 +44,6 @@ class ScoringFlags:
 
 
 ALL_ROWS = ScoringFlags()
-
-
-@dataclass
-class ScoreMatrix:
-    """Query-by-document relevance grid with aligned id lists."""
-
-    values: np.ndarray  # (B_q, B_d)
-    query_ids: list
-    doc_ids: list
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(self.query_ids), len(self.doc_ids)):
-            raise ConfigurationError(
-                f"ScoreMatrix shape {self.values.shape} does not match "
-                f"{len(self.query_ids)} query ids x {len(self.doc_ids)} doc ids"
-            )
 
 
 @dataclass
@@ -169,20 +152,6 @@ def maxsim_score(
 ) -> float:
     """Late-interaction relevance of document d to query q under the given flags."""
     return float(DocumentIndex([d]).scores(query_rows(q, flags), flags)[0])
-
-
-def score_batch(
-    queries: list[QueryEmbedding],
-    docs: Sequence[DocumentEmbedding],
-    flags: ScoringFlags = ALL_ROWS,
-) -> ScoreMatrix:
-    """Pairwise MaxSim grid. Each entry comes from the same kernel as
-    maxsim_score, so the matrix equals pairwise calls bit-for-bit."""
-    if not queries or not docs:
-        raise ConfigurationError("score_batch: empty query or document list")
-    index = docs if isinstance(docs, DocumentIndex) else DocumentIndex(docs)
-    values = np.vstack([index.scores(query_rows(q, flags), flags) for q in queries])
-    return ScoreMatrix(values=values, query_ids=[q.query_id for q in queries], doc_ids=list(index.page_ids))
 
 
 def rank(

@@ -54,9 +54,6 @@ class TrainerConfig:
     weight_local: float = 1.0
     early_stop_patience: int = 5
     seed: int = 0
-    #: "contextualized" aligns patches to descriptor hidden states; "embedding"
-    #: aligns to raw embedding-layer rows passed through the projection head.
-    local_target: str = "contextualized"
     #: Train with descriptor token rows concatenated to document rows (the
     #: cross-context fine-tuned variant; normally paired with retrieval-only).
     cross_context: bool = False
@@ -69,8 +66,6 @@ class TrainerConfig:
             raise ConfigurationError("learning_rate and tau must be positive")
         if self.weight_decay < 0 or self.warmup_steps < 0 or self.epochs < 0:
             raise ConfigurationError("weight_decay, warmup_steps, epochs must be non-negative")
-        if self.local_target not in ("contextualized", "embedding"):
-            raise ConfigurationError(f"unknown local_target {self.local_target!r}")
 
     def needs_descriptors(self) -> bool:
         return self.enable_global or self.enable_local or self.cross_context
@@ -113,26 +108,23 @@ class TrainSample:
 class AdamW:
     """Adam with decoupled weight decay, beta=(0.9, 0.999), eps=1e-8."""
 
-    def __init__(self, config: EncoderConfig, weight_decay: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, config: EncoderConfig, weight_decay: float):
         self.m = zero_grads(config)
         self.v = zero_grads(config)
         self.t = 0
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self._order = [name for name, _ in param_spec(config)]
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2, eps = 0.9, 0.999, 1e-8
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name in self._order:
             g = grads[name]
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
+            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + eps)
             params[name] -= lr * (update + self.weight_decay * params[name])
 
 
@@ -147,9 +139,8 @@ def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:
 
 
 class _Stream:
-    """One input stream of a batch (queries, pages, descriptors or raw
-    descriptor rows), encoded as one stack per sequence length in order of
-    first appearance.
+    """One input stream of a batch (queries, pages or descriptors), encoded as
+    one stack per sequence length in order of first appearance.
 
     Holds, per stack, its batch positions, output rows (B, L + 1, d), backward
     cache and a zeroed d(loss)/d(rows) array. out[i] and grad[i] are sample
@@ -185,7 +176,6 @@ class _BatchForward:
     q: _Stream
     d: _Stream
     g: _Stream | None  # descriptors, when a loss needs them
-    raw: _Stream | None  # raw descriptor rows, for local_target="embedding"
     doc_stacks: list[tuple[list[int], np.ndarray]]  # MaxSim document rows (incl. cross-context) by count
     scores: np.ndarray
     pair_args: list[list[np.ndarray]]  # [s][t]: (n_q, n_d, L_q) argmax of query stack t vs doc_stacks[s]
@@ -200,14 +190,11 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     q = _Stream(encoder.forward_tokens, [s.query_tokens for s in batch])
     d = _Stream(encoder.forward_patches, [s.page_features for s in batch])
 
-    g = raw = None
+    g = None
     if cfg.needs_descriptors():
         if any(s.descriptor_tokens is None for s in batch):
             raise ConfigurationError("descriptors required by the enabled losses but missing from batch")
-        desc = [s.descriptor_tokens for s in batch]
-        g = _Stream(encoder.forward_tokens, desc)
-        if cfg.enable_local and cfg.local_target == "embedding":
-            raw = _Stream(encoder.forward_tokens_raw, desc)
+        g = _Stream(encoder.forward_tokens, [s.descriptor_tokens for s in batch])
 
     # Documents with equal row counts (all of them, unless cross-context rows
     # vary) share one stack; one MaxSim call per (document stack, query stack)
@@ -238,11 +225,10 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     local_part = None
     local_values = None
     if cfg.enable_local:
-        targets = raw.out if cfg.local_target == "embedding" else [y[:-1] for y in g.out]
         local_values = []
         acc = 0.0
         for i in range(b):
-            lv = scale_loss(local_align(d.out[i][:-1], targets[i]), cfg.weight_local / b)
+            lv = scale_loss(local_align(d.out[i][:-1], g.out[i][:-1]), cfg.weight_local / b)
             local_values.append(lv)
             acc += lv.value
             sig_parts.append(("local", i) + lv.tie_rows)
@@ -251,7 +237,7 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     parts = {"global": global_part, "local": local_part, "retrieval": retrieval_part}
     value = sum(p.value for p in parts.values() if p is not None)
     return _BatchForward(
-        q=q, d=d, g=g, raw=raw, doc_stacks=doc_stacks, scores=scores, pair_args=pair_args,
+        q=q, d=d, g=g, doc_stacks=doc_stacks, scores=scores, pair_args=pair_args,
         parts=parts, value=value, signature=tuple(sig_parts), local_values=local_values,
     )
 
@@ -306,13 +292,12 @@ def _backward_batch(
             fwd.g.grad[i][-1] += gpart.gradients["descriptor_globals"][i]
 
     if cfg.enable_local:
-        d_target = fwd.raw.grad if cfg.local_target == "embedding" else [g[:-1] for g in fwd.g.grad]
         for i, lv in enumerate(fwd.local_values):
             d_page[i][:-1] += lv.gradients["patches"]
-            d_target[i] += lv.gradients["descriptor_tokens"]
+            fwd.g.grad[i][:-1] += lv.gradients["descriptor_tokens"]
 
     # One backward per stack, in a fixed order for bit-reproducible accumulation.
-    for stream in (fwd.q, fwd.d, fwd.g, fwd.raw):
+    for stream in (fwd.q, fwd.d, fwd.g):
         if stream is not None:
             stream.backward(encoder, grads)
 

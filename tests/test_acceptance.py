@@ -34,7 +34,7 @@ from glint.losses import (
 )
 from glint.metrics import map_at_k, ndcg_at_k, spatial_entropy, wilcoxon_signed_rank
 from glint.pipeline import run_eval, run_gen, run_index, run_train
-from glint.scoring import ScoringFlags, maxsim_score, score_batch
+from glint.scoring import ScoringFlags, maxsim_score
 from glint.training import grad_check_encoder, train
 
 
@@ -149,19 +149,6 @@ class TestScoringAgainstNaiveOracle:
             np.testing.assert_allclose(
                 maxsim_score(q, doc), _naive_maxsim(q, doc), rtol=1e-6, atol=1e-6
             )
-
-    def test_batch_scoring_equals_pairwise_bit_for_bit(self):
-        rng = np.random.default_rng(8)
-        queries, docs = [], []
-        for i in range(12):
-            q, doc = _random_pair(rng, d=8)
-            q.query_id, doc.page_id = i, 100 + i
-            queries.append(q)
-            docs.append(doc)
-        values = score_batch(queries, docs).values
-        for i, q in enumerate(queries):
-            for j, doc in enumerate(docs):
-                assert values[i, j] == maxsim_score(q, doc)
 
 
 def _brute_ndcg(ranking, relevant, k):

@@ -11,6 +11,7 @@ from conftest import small_corpus_config, small_encoder_config, small_trainer_co
 from glint.cli import main
 from glint.config import RunConfig, save_config
 from glint.corpus import descriptor_path
+from glint.encoder import Encoder, save_checkpoint
 from glint.index_store import read_index
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -198,6 +199,27 @@ class TestEval:
         assert main([*base, "--report-out", str(fresh)]) == 0
         assert main([*base, "--index", str(ws["index"]), "--report-out", str(backed)]) == 0
         assert fresh.read_bytes() == backed.read_bytes()
+
+    def test_index_of_another_corpus_exits_2(self, ws, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        assert main(_args(ws, "gen", "--seed", "9", "--out", str(other))) == 0
+        capsys.readouterr()
+        args = _args(ws, "eval", "--corpus", str(other), "--checkpoint", str(ws["ckpt"]),
+                     "--index", str(ws["index"]))
+        assert main(args) == 2
+        assert f"index {ws['index']} does not hold page" in capsys.readouterr().err
+
+    def test_index_of_another_checkpoint_exits_2(self, ws, tmp_path, capsys):
+        other_ckpt, other_index = tmp_path / "other.ckpt", tmp_path / "other.idx"
+        config = small_encoder_config()
+        save_checkpoint(other_ckpt, config, Encoder.initialize(config).params)
+        assert main(_args(ws, "index", "--checkpoint", str(other_ckpt), "--corpus", str(ws["corpus"]),
+                          "--out", str(other_index))) == 0
+        capsys.readouterr()
+        args = _args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(ws["ckpt"]),
+                     "--index", str(other_index))
+        assert main(args) == 2
+        assert "another corpus or checkpoint" in capsys.readouterr().err
 
     def test_eval_works_without_the_descriptor_file(self, ws, tmp_path):
         bare = tmp_path / "corpus.jsonl"

@@ -110,15 +110,6 @@ class TestEncodeShapes:
         assert emb.query_id == "q0"
         np.testing.assert_allclose(np.linalg.norm(emb.tokens, axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_descriptor_runs_the_query_path(self):
-        # Shared weights are structural: same tokens, same rows, bit for bit.
-        enc = Encoder.initialize(_cfg())
-        q = enc.encode_query([4, 2, 9], query_id="q")
-        d = enc.encode_descriptor([4, 2, 9], page_id=3)
-        np.testing.assert_array_equal(q.tokens, d.tokens)
-        np.testing.assert_array_equal(q.global_vec, d.global_vec)
-        assert d.page_id == 3
-
     def test_encoding_is_deterministic(self):
         rng = np.random.default_rng(1)
         cfg = _cfg()
@@ -192,7 +183,7 @@ class TestStackedEncoding:
             np.testing.assert_array_equal(emb.tokens, stacked[k, :-1])
             np.testing.assert_array_equal(emb.global_vec, stacked[k, -1])
 
-    @pytest.mark.parametrize("kind", ["patches", "tokens", "raw_tokens"])
+    @pytest.mark.parametrize("kind", ["patches", "tokens"])
     def test_stacked_backward_is_the_sum_of_per_sequence_backwards(self, kind):
         rng = np.random.default_rng(8)
         cfg = _cfg(share_global_token=False)
@@ -201,8 +192,7 @@ class TestStackedEncoding:
             inputs, forward = rng.normal(size=(4, 5, cfg.patch_feature_dim)), enc.forward_patches
         else:
             # Repeated ids exercise the scatter-add into tok_emb.
-            inputs = rng.integers(0, 8, size=(4, 5))
-            forward = enc.forward_tokens if kind == "tokens" else enc.forward_tokens_raw
+            inputs, forward = rng.integers(0, 8, size=(4, 5)), enc.forward_tokens
         y, cache = forward(inputs)
         d_y = rng.normal(size=y.shape)
         stacked = zero_grads(cfg)
@@ -246,28 +236,6 @@ class TestStackedEncoding:
             enc.forward_tokens([[1, 2], [3, 40]])
         with pytest.raises(ConfigurationError):
             enc.forward_patches(np.zeros((0, 3, 9)))
-
-
-class TestRawTokenPath:
-    def test_rows_are_per_token_and_unit_norm(self):
-        enc = Encoder.initialize(_cfg())
-        y, cache = enc.forward_tokens_raw([3, 7])
-        assert y.shape == (2, 6)
-        assert cache["kind"] == "raw_tokens"
-        np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-12)
-
-    def test_no_position_or_context_dependence(self):
-        enc = Encoder.initialize(_cfg())
-        ab, _ = enc.forward_tokens_raw([3, 7])
-        ba, _ = enc.forward_tokens_raw([7, 3])
-        np.testing.assert_array_equal(ab[0], ba[1])
-        np.testing.assert_array_equal(ab[1], ba[0])
-
-    def test_differs_from_contextualized_rows(self):
-        enc = Encoder.initialize(_cfg())
-        raw, _ = enc.forward_tokens_raw([3, 7])
-        full, _ = enc.forward_tokens([3, 7])
-        assert not np.allclose(raw, full[:-1], atol=1e-3)
 
 
 class TestGlobalTokenSharing:

@@ -23,12 +23,12 @@ from glint.scoring import ALL_ROWS, ScoringFlags, pool_patches
 
 def _toy_report(variant="toy", with_local=True) -> EvalReport:
     results = [
-        QueryResult(query_id=1, qtype="global", ranking=[1, 2], relevant={1}, ndcg=1.0, map_=1.0),
-        QueryResult(query_id=2, qtype="global", ranking=[2, 1], relevant={1}, ndcg=0.5, map_=0.25),
+        QueryResult(query_id=1, qtype="global", ranking=[1, 2], ndcg=1.0, map_=1.0),
+        QueryResult(query_id=2, qtype="global", ranking=[2, 1], ndcg=0.5, map_=0.25),
     ]
     if with_local:
         results.append(
-            QueryResult(query_id=3, qtype="local", ranking=[1, 2], relevant={2}, ndcg=0.75, map_=0.5)
+            QueryResult(query_id=3, qtype="local", ranking=[1, 2], ndcg=0.75, map_=0.5)
         )
     return EvalReport(variant=variant, split="test", k=5, results=results)
 
@@ -177,8 +177,8 @@ class TestCompareReports:
         results_a, results_b = [], []
         for qid in range(12):
             base = float(rng.uniform(0.2, 0.7))
-            results_a.append(QueryResult(qid, "global", [1], {1}, base + 0.1, base + 0.1))
-            results_b.append(QueryResult(qid, "global", [1], {1}, base, base))
+            results_a.append(QueryResult(qid, "global", [1], base + 0.1, base + 0.1))
+            results_b.append(QueryResult(qid, "global", [1], base, base))
         a = EvalReport("a", "test", 5, results_a)
         b = EvalReport("b", "test", 5, results_b)
         record = compare_reports(a, b)

@@ -15,7 +15,6 @@ from glint.scoring import (
     pool_patches,
     query_rows,
     rank,
-    score_batch,
 )
 
 #: Every flag setting that leaves at least one document row.
@@ -126,38 +125,6 @@ class TestMaxsimScore:
         d_rows = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])  # rows 0 and 1 tie
         _, arg = maxsim(q_rows, d_rows)
         assert arg[0, 0] == 0
-
-
-class TestScoreBatch:
-    def test_single_pair_equals_maxsim(self):
-        rng = np.random.default_rng(11)
-        q, d = _random_pair(rng)
-        grid = score_batch([q], [d])
-        assert grid.values.shape == (1, 1)
-        assert grid.values[0, 0] == maxsim_score(q, d)
-
-    def test_matches_pairwise_bit_for_bit(self):
-        rng = np.random.default_rng(12)
-        queries = [_random_pair(rng, qid=i)[0] for i in range(4)]
-        docs = [_random_pair(rng, pid=j)[1] for j in range(5)]
-        grid = score_batch(queries, docs)
-        for i, q in enumerate(queries):
-            for j, d in enumerate(docs):
-                assert grid.values[i, j] == maxsim_score(q, d)  # exact, not approx
-
-    def test_ids_preserved(self):
-        rng = np.random.default_rng(13)
-        q, d = _random_pair(rng, qid="q7", pid=42)
-        grid = score_batch([q], [d])
-        assert grid.query_ids == ["q7"] and grid.doc_ids == [42]
-
-    def test_empty_lists_rejected(self):
-        rng = np.random.default_rng(14)
-        q, d = _random_pair(rng)
-        with pytest.raises(ConfigurationError):
-            score_batch([], [d])
-        with pytest.raises(ConfigurationError):
-            score_batch([q], [])
 
 
 class TestRank:

@@ -29,10 +29,6 @@ from glint.training import (
 
 
 class TestTrainerConfig:
-    def test_defaults_are_consistent(self):
-        cfg = TrainerConfig()
-        assert cfg.local_target == "contextualized"
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             TrainerConfig(batch_size=1)
@@ -42,8 +38,6 @@ class TestTrainerConfig:
             TrainerConfig(tau=-0.1)
         with pytest.raises(ConfigurationError):
             TrainerConfig(weight_decay=-1e-4)
-        with pytest.raises(ConfigurationError, match="local_target"):
-            TrainerConfig(local_target="tokens")
 
     def test_descriptor_requirements(self):
         assert TrainerConfig().needs_descriptors()
@@ -319,7 +313,7 @@ class TestGradCheck:
         assert report.n_checked + report.n_excluded == 200
 
     @pytest.mark.parametrize(
-        "overrides", [{}, {"cross_context": True}, {"local_target": "embedding"}], ids=["default", "cross", "embedding"]
+        "overrides", [{}, {"cross_context": True}], ids=["default", "cross"]
     )
     def test_finite_differences_reach_stacks_of_several_sequences(self, overrides):
         # Six samples over three query, four page and four descriptor
