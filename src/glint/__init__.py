@@ -11,7 +11,6 @@ from .config import RunConfig, load_config, save_config
 from .corpus import (
     Corpus,
     CorpusConfig,
-    Descriptor,
     PageSpec,
     QuerySpec,
     Region,
@@ -56,7 +55,6 @@ __all__ = [
     "Corpus",
     "CorpusConfig",
     "DegenerateInputError",
-    "Descriptor",
     "DimensionMismatchError",
     "DocumentEmbedding",
     "DocumentIndex",

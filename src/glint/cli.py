@@ -3,7 +3,8 @@
 numpy fixes its BLAS thread pool at import time, so this module imports
 nothing heavy at module level; --threads is applied to the environment
 before the first numerical import. Exit codes: 0 success, 2 configuration
-or argument error, 3 artifact integrity error, 1 training divergence.
+or argument error (a missing input file included), 3 artifact integrity
+error, 1 training divergence.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ so a typo cannot silently fall back to a default. YAML 1.1 parses a bare
 from __future__ import annotations
 
 import dataclasses
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -79,6 +81,19 @@ class RunConfig:
         }
 
 
+def _check_types(data: dict, hints: dict, where: str) -> None:
+    """Refuse a value whose type is not its field's: an int may stand for a
+    float, a bool never stands for a number, and None only where the field
+    type admits it."""
+    for key, value in data.items():
+        hint = hints[key]
+        allowed = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        ok = isinstance(value, allowed) or (float in allowed and isinstance(value, int))
+        if not ok or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise ConfigurationError(f"config value {where}.{key} must be {names}, got {value!r}")
+
+
 def _build_section(cls, data: dict, where: str, seed: int | None = None):
     """Build one section; a top-level `seed` fills in a section seed left unset."""
     if not isinstance(data, dict):
@@ -89,6 +104,7 @@ def _build_section(cls, data: dict, where: str, seed: int | None = None):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigurationError(f"config section {where!r} has unknown keys: {unknown}")
+    _check_types(data, typing.get_type_hints(cls), where)
     return cls(**data)
 
 
@@ -106,9 +122,11 @@ def config_from_dict(data: dict) -> RunConfig:
     eval_section = data.get("eval", {})
     if not isinstance(eval_section, dict):
         raise ConfigurationError("config section 'eval' must be a mapping")
-    unknown_eval = sorted(set(eval_section) - {"k", "split"})
+    eval_types = {"k": int, "split": str}
+    unknown_eval = sorted(set(eval_section) - set(eval_types))
     if unknown_eval:
         raise ConfigurationError(f"config section 'eval' has unknown keys: {unknown_eval}")
+    _check_types(eval_section, eval_types, "eval")
 
     seed = data.get("seed")
     return RunConfig(

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .errors import ConfigurationError
 
 SCHEMA_VERSION = 1
@@ -151,20 +152,8 @@ class PageSpec:
                 raise ConfigurationError(f"page {self.page_id}: overlapping region spans")
             covered |= cells
 
-    def arrangement_key(self) -> tuple:
-        """Layout identity: the multiset of (type, row, col, height, width)."""
-        return tuple(
-            sorted((r.region_type, r.row, r.col, r.height, r.width) for r in self.regions)
-        )
-
     def content_token_set(self) -> set[int]:
         return {t for reg in self.regions for t in reg.content_tokens}
-
-
-@dataclass
-class Descriptor:
-    page_id: int
-    tokens: list[int]
 
 
 @dataclass
@@ -188,13 +177,15 @@ class Corpus:
     pages: dict[int, PageSpec]
     queries: dict[int, QuerySpec]
     splits: dict[str, Split]
-    descriptors: dict[int, Descriptor] | None = None
     _feature_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def patch_features(self, page_id: int) -> np.ndarray:
         if page_id not in self._feature_cache:
             self._feature_cache[page_id] = render_patch_features(self.pages[page_id])
         return self._feature_cache[page_id]
+
+    def descriptor(self, page_id: int) -> list[int]:
+        return generate_descriptor(self.pages[page_id])
 
 
 def patch_feature_dim() -> int:
@@ -228,9 +219,12 @@ def render_patch_features(page: PageSpec) -> np.ndarray:
     return feats
 
 
-def generate_descriptor(page: PageSpec) -> Descriptor:
+def generate_descriptor(page: PageSpec) -> list[int]:
     """Canonical structure-only token sequence: regions in reading order,
-    each as (type, row, col, height, width) tokens. No content ids."""
+    each as (type, row, col, height, width) tokens. No content ids.
+
+    Non-overlapping regions have distinct (row, col) anchors, so equal
+    arrangements give equal sequences and different ones differ."""
     layout = TokenLayout(page.n_rows, page.n_cols)
     tokens: list[int] = []
     for reg in sorted(page.regions, key=lambda r: (r.row, r.col)):
@@ -243,7 +237,7 @@ def generate_descriptor(page: PageSpec) -> Descriptor:
                 layout.wid_token(reg.width),
             ]
         )
-    return Descriptor(page_id=page.page_id, tokens=tokens)
+    return tokens
 
 
 def layout_features(page: PageSpec) -> dict[str, int]:
@@ -344,7 +338,7 @@ class _Cluster:
 
 
 def generate_corpus(config: CorpusConfig) -> Corpus:
-    """Deterministically build pages, descriptors, queries, and splits."""
+    """Deterministically build pages, queries, and splits."""
     cfg = config
     layout = cfg.token_layout
     rng = np.random.default_rng(cfg.seed)
@@ -524,9 +518,7 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
         kind = "local" if bg_queries[pid] else "background"
         clusters.append(_Cluster(kind, [pid], bg_queries[pid]))
 
-    splits = _split_clusters(rng, clusters)
-    descriptors = {pid: generate_descriptor(p) for pid, p in pages.items()}
-    corpus = Corpus(config=cfg, pages=pages, queries=queries, splits=splits, descriptors=descriptors)
+    corpus = Corpus(config=cfg, pages=pages, queries=queries, splits=_split_clusters(rng, clusters))
     validate_corpus(corpus)
     return corpus
 
@@ -575,22 +567,6 @@ def validate_corpus(corpus: Corpus) -> None:
     layout = corpus.config.token_layout
     for page in corpus.pages.values():
         page.validate()
-
-    if corpus.descriptors is not None:
-        if set(corpus.descriptors) != set(corpus.pages):
-            raise ConfigurationError("descriptor set does not match page set")
-        by_arrangement: dict[tuple, tuple] = {}
-        seen_descriptors: dict[tuple, tuple] = {}
-        for pid, page in corpus.pages.items():
-            desc = tuple(corpus.descriptors[pid].tokens)
-            if any(t >= layout.content_base for t in desc):
-                raise ConfigurationError(f"descriptor for page {pid} contains content tokens")
-            key = page.arrangement_key()
-            if by_arrangement.setdefault(key, desc) != desc:
-                raise ConfigurationError(f"equal arrangements with different descriptors (page {pid})")
-            prior = seen_descriptors.setdefault(desc, key)
-            if prior != key:
-                raise ConfigurationError(f"different arrangements share a descriptor (page {pid})")
 
     content = {pid: page.content_token_set() for pid, page in corpus.pages.items()}
     for q in corpus.queries.values():
@@ -648,15 +624,9 @@ def validate_corpus(corpus: Corpus) -> None:
 # ----- serialization -----
 
 
-def descriptor_path(corpus_path) -> Path:
-    p = Path(corpus_path)
-    return p.with_name(p.stem + ".desc" + p.suffix)
-
-
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write pages/queries/splits to `path` and descriptors to a sibling
-    `<stem>.desc<suffix>` file, one JSON record per line."""
-    path = Path(path)
+    """Write config, pages, queries and splits to `path`, one JSON record per
+    line. Descriptors are derived from the pages, so they are not stored."""
     lines = [
         json.dumps(
             {"kind": "header", "schema_version": SCHEMA_VERSION, "config": asdict(corpus.config)},
@@ -689,16 +659,7 @@ def save_corpus(corpus: Corpus, path) -> None:
                     sort_keys=True,
                 )
             )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    if corpus.descriptors is not None:
-        dlines = [json.dumps({"kind": "header", "schema_version": SCHEMA_VERSION}, sort_keys=True)]
-        for pid in sorted(corpus.descriptors):
-            d = corpus.descriptors[pid]
-            dlines.append(
-                json.dumps({"kind": "descriptor", "page_id": d.page_id, "tokens": d.tokens}, sort_keys=True)
-            )
-        descriptor_path(path).write_text("\n".join(dlines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _parse_lines(path: Path) -> list[dict]:
@@ -734,8 +695,8 @@ def _record_errors(path: Path, kind) -> Iterator[None]:
         raise ConfigurationError(f"{path}: malformed {kind} record: {exc}") from exc
 
 
-def load_corpus(path, with_descriptors: bool = False) -> Corpus:
-    """Load a corpus; descriptors are read only when explicitly requested."""
+def load_corpus(path) -> Corpus:
+    """Load and validate a corpus written by save_corpus."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"corpus file not found: {path}")
@@ -768,20 +729,6 @@ def load_corpus(path, with_descriptors: bool = False) -> Corpus:
             else:
                 raise ConfigurationError(f"{path}: unknown record kind {kind!r}")
 
-    descriptors = None
-    if with_descriptors:
-        dpath = descriptor_path(path)
-        if not dpath.exists():
-            raise ConfigurationError(
-                f"descriptors required but {dpath} is missing; regenerate the corpus"
-            )
-        descriptors = {}
-        for rec in _parse_lines(dpath)[1:]:
-            if rec.get("kind") != "descriptor":
-                raise ConfigurationError(f"{dpath}: unknown record kind {rec.get('kind')!r}")
-            with _record_errors(dpath, "descriptor"):
-                descriptors[rec["page_id"]] = Descriptor(page_id=rec["page_id"], tokens=rec["tokens"])
-
-    corpus = Corpus(config=config, pages=pages, queries=queries, splits=splits, descriptors=descriptors)
+    corpus = Corpus(config=config, pages=pages, queries=queries, splits=splits)
     validate_corpus(corpus)
     return corpus

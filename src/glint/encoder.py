@@ -29,9 +29,11 @@ import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .embeddings import DocumentEmbedding, QueryEmbedding
 from .errors import ConfigurationError, IntegrityError
 
@@ -431,14 +433,15 @@ def save_checkpoint(
     payload = b"".join(chunks)
     blob = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + payload
     blob += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray], int]:
     """Read and validate a GDFT checkpoint; returns (config, params, steps_trained)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"checkpoint file not found: {path}") from exc
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a GDFT checkpoint")
     (version,) = struct.unpack("<I", blob[4:8])

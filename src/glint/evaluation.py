@@ -127,16 +127,11 @@ def encode_split_docs(
 
     Pages are encoded fresh unless `base_docs` supplies them (e.g. loaded
     from a persisted index). cross_context appends each page's contextualized
-    descriptor token states as extra document rows (the descriptor file must
-    have been loaded). pooling replaces the trained global vector with a
-    patch-pooling baseline.
+    descriptor token states as extra document rows. pooling replaces the
+    trained global vector with a patch-pooling baseline.
     """
     if split not in corpus.splits:
         raise ConfigurationError(f"unknown split {split!r}")
-    if cross_context and corpus.descriptors is None:
-        raise ConfigurationError(
-            "cross-context scoring requires descriptors, but the corpus was loaded without them"
-        )
     by_id = None
     if base_docs is not None:
         by_id = {d.page_id: d for d in base_docs}
@@ -150,7 +145,7 @@ def encode_split_docs(
             doc = encoder.encode_page(corpus.patch_features(pid), pid)
         patches = doc.patches
         if cross_context:
-            desc_rows, _ = encoder.forward_tokens(corpus.descriptors[pid].tokens)
+            desc_rows, _ = encoder.forward_tokens(corpus.descriptor(pid))
             patches = np.vstack([patches, desc_rows[:-1]])
         global_vec = pool_patches(doc.patches, pooling) if pooling is not None else doc.global_vec
         docs.append(DocumentEmbedding(patches=patches, global_vec=global_vec, page_id=pid))

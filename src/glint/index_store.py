@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .embeddings import DocumentEmbedding
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .scoring import DocumentIndex
 
 INDEX_MAGIC = b"LIGT"
@@ -37,8 +38,8 @@ def _check_unit_rows(rows: np.ndarray, what: str) -> None:
 
 
 def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
-    """Serialize document embeddings; the file is written in one shot, so a
-    failed validation never leaves a partial index behind."""
+    """Serialize document embeddings. Every row is validated before the file
+    is replaced in one step, so no failure leaves a partial index behind."""
     if docs:
         d = docs[0].global_vec.shape[0]
     else:
@@ -53,7 +54,7 @@ def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
         chunks.append(np.ascontiguousarray(doc.patches, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(doc.global_vec, dtype="<f8").tobytes())
     payload = b"".join(chunks)
-    Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+    write_atomic(path, payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 def read_index(path) -> DocumentIndex:
@@ -62,7 +63,10 @@ def read_index(path) -> DocumentIndex:
     Each record is read as a view of the file buffer, which the
     DocumentIndex copies once into its block.
     """
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise ConfigurationError(f"index file not found: {path}") from exc
     if len(blob) < 4 + 12 + 4:
         raise IntegrityError(f"{path}: too short to be an index file")
     if blob[:4] != INDEX_MAGIC:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .corpus import Corpus, descriptor_path, generate_corpus, load_corpus, save_corpus
+from .corpus import Corpus, generate_corpus, load_corpus, save_corpus
 from .encoder import Encoder, load_checkpoint, save_checkpoint
 from .errors import ConfigurationError, TrainingDivergedError
 from .evaluation import AblationReport, EvalReport, evaluate, run_ablations
@@ -41,7 +41,6 @@ def run_gen(config: RunConfig, out_path) -> dict:
     qtypes = [q.qtype for q in corpus.queries.values()]
     return {
         "corpus": str(out_path),
-        "descriptors": str(descriptor_path(out_path)),
         "n_pages": len(corpus.pages),
         "n_queries": len(corpus.queries),
         "n_global": sum(1 for t in qtypes if t == "global"),
@@ -77,7 +76,7 @@ def run_train(
 ) -> dict:
     """Train one checkpoint; on divergence the partial log is still written."""
     tcfg = trainer_for_variant(config, variant)
-    corpus = load_corpus(corpus_path, with_descriptors=tcfg.needs_descriptors())
+    corpus = load_corpus(corpus_path)
     initial_params = None
     start_step = 0
     if resume_from is not None:
@@ -110,8 +109,7 @@ def run_index(checkpoint_path, corpus_path, index_out) -> dict:
     """Encode every corpus page with the checkpoint and persist the index.
 
     The checkpoint is validated before anything is written, so a corrupted
-    checkpoint never leaves a partial index. Descriptors are neither read
-    nor required.
+    checkpoint never leaves a partial index. No descriptor is derived.
     """
     enc_config, params, _ = load_checkpoint(checkpoint_path)
     encoder = Encoder(enc_config, params)
@@ -135,12 +133,11 @@ def run_eval(config: RunConfig, corpus_path, checkpoint_path, index_path=None,
              variant: str = "full") -> EvalReport:
     """Evaluate a checkpoint on the configured split.
 
-    Normal mode never reads the descriptor file; the cross-context modes
-    require it (they append contextualized descriptor rows at scoring time)
-    and fail with a configuration error when it is absent.
+    Normal mode derives no descriptor; the cross-context modes append each
+    page's contextualized descriptor rows at scoring time.
     """
     cross = config.cross_context != "off"
-    corpus = load_corpus(corpus_path, with_descriptors=cross)
+    corpus = load_corpus(corpus_path)
     enc_config, params, _ = load_checkpoint(checkpoint_path)
     encoder = Encoder(enc_config, params)
     base_docs = None

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .corpus import Corpus
 from .encoder import Encoder, EncoderConfig, init_params, param_spec, zero_grads
 from .errors import ConfigurationError, TrainingDivergedError
@@ -85,8 +86,7 @@ class TrainingLog:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+        write_atomic(path, (self.to_json() + "\n").encode("utf-8"))
 
 
 @dataclass
@@ -192,8 +192,6 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
 
     g = None
     if cfg.needs_descriptors():
-        if any(s.descriptor_tokens is None for s in batch):
-            raise ConfigurationError("descriptors required by the enabled losses but missing from batch")
         g = _Stream(encoder.forward_tokens, [s.descriptor_tokens for s in batch])
 
     # Documents with equal row counts (all of them, unless cross-context rows
@@ -310,21 +308,13 @@ def _make_samples(corpus: Corpus, query_ids: list[int], need_desc: bool) -> list
     for qid in query_ids:
         q = corpus.queries[qid]
         page_id = q.relevant_page_ids[0]
-        desc = None
-        if need_desc:
-            if corpus.descriptors is None:
-                raise ConfigurationError(
-                    "training with descriptor-supervised losses requires descriptors, "
-                    "but the corpus was loaded without them"
-                )
-            desc = corpus.descriptors[page_id].tokens
         samples.append(
             TrainSample(
                 query_id=qid,
                 query_tokens=q.tokens,
                 page_id=page_id,
                 page_features=corpus.patch_features(page_id),
-                descriptor_tokens=desc,
+                descriptor_tokens=corpus.descriptor(page_id) if need_desc else None,
             )
         )
     return samples

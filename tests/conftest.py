@@ -13,6 +13,19 @@ from glint.training import TrainerConfig, train
 SMALL_SEED = 3
 
 
+class DescriptorDerived(Exception):
+    """Raised by generate_descriptor once a test has forbidden it."""
+
+
+def forbid_descriptors(monkeypatch) -> None:
+    """From here on, deriving any page's descriptor raises DescriptorDerived."""
+
+    def refuse(page):
+        raise DescriptorDerived(f"descriptor of page {page.page_id} derived")
+
+    monkeypatch.setattr("glint.corpus.generate_descriptor", refuse)
+
+
 def small_corpus_config(**overrides) -> CorpusConfig:
     base = dict(n_pages=40, n_queries=40, vocab_size=128, seed=SMALL_SEED)
     base.update(overrides)

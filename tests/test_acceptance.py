@@ -3,8 +3,8 @@
 Each class states one verifiable claim about the finished system: gradient
 correctness against finite differences, closed-form loss values, scoring
 against a literal double loop, metric and significance oracles, the
-seed-averaged directional comparisons, descriptor-file hygiene, and
-end-to-end reproducibility. The directional claims share one module-scoped
+seed-averaged directional comparisons, descriptor purity (plain retrieval
+derives no descriptor), and end-to-end reproducibility. The directional claims share one module-scoped
 training matrix (three seeds on the default 200-page corpus) so the module
 stays well inside its time budget.
 """
@@ -17,13 +17,12 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import small_corpus_config, small_encoder_config, small_trainer_config
+from conftest import forbid_descriptors, small_corpus_config, small_encoder_config, small_trainer_config
 
 from glint.config import RunConfig
-from glint.corpus import descriptor_path, generate_corpus, load_corpus, save_corpus
+from glint.corpus import generate_corpus
 from glint.embeddings import DocumentEmbedding, QueryEmbedding, normalize_rows
 from glint.encoder import Encoder
-from glint.errors import ConfigurationError
 from glint.evaluation import encode_split_docs, evaluate
 from glint.losses import (
     finite_diff_check,
@@ -350,29 +349,15 @@ class TestCrossContextSoftExpectation:
 
 class TestDescriptorFilePurity:
     """Descriptors are training/cross-context inputs only: plain evaluation
-    never touches the descriptor file, and the modes that need it fail with
-    a named configuration error when it is gone."""
+    never derives one, so forbidding generate_descriptor changes nothing."""
 
-    @pytest.fixture()
-    def bare_corpus_path(self, tmp_path, small_corpus):
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(small_corpus, path)
-        descriptor_path(path).unlink()
-        return path
-
-    def test_plain_evaluation_survives_descriptor_deletion(self, bare_corpus_path, trained_small):
-        corpus = load_corpus(bare_corpus_path)
-        report = evaluate(trained_small, corpus, split="test", k=3)
+    def test_plain_evaluation_survives_descriptor_deletion(self, small_corpus, trained_small, monkeypatch):
+        expected = evaluate(trained_small, small_corpus, split="test", k=3)
+        forbid_descriptors(monkeypatch)
+        report = evaluate(trained_small, small_corpus, split="test", k=3)
         assert report.results and not report.skipped
-
-    def test_loading_for_cross_context_names_the_missing_file(self, bare_corpus_path):
-        with pytest.raises(ConfigurationError, match="descriptors required"):
-            load_corpus(bare_corpus_path, with_descriptors=True)
-
-    def test_cross_context_scoring_without_descriptors_is_rejected(self, bare_corpus_path, trained_small):
-        corpus = load_corpus(bare_corpus_path)
-        with pytest.raises(ConfigurationError, match="requires descriptors"):
-            evaluate(trained_small, corpus, split="test", k=3, cross_context=True)
+        assert report.to_delimited() == expected.to_delimited()
+        assert [r.ranking for r in report.results] == [r.ranking for r in expected.results]
 
 
 class TestEndToEndReproducibility:

@@ -6,11 +6,16 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import small_corpus_config, small_encoder_config, small_trainer_config
+from conftest import (
+    DescriptorDerived,
+    forbid_descriptors,
+    small_corpus_config,
+    small_encoder_config,
+    small_trainer_config,
+)
 
 from glint.cli import main
 from glint.config import RunConfig, save_config
-from glint.corpus import descriptor_path
 from glint.encoder import Encoder, save_checkpoint
 from glint.index_store import read_index
 
@@ -57,15 +62,13 @@ class TestGen:
         assert summary["n_pages"] == 40
         assert summary["n_queries"] == 40
         assert summary["n_global"] + summary["n_local"] == 40
-        assert out.exists()
-        assert descriptor_path(out).exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_deterministic_bytes(self, ws, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(_args(ws, "gen", "--out", str(a))) == 0
         assert main(_args(ws, "gen", "--out", str(b))) == 0
         assert a.read_bytes() == b.read_bytes()
-        assert descriptor_path(a).read_bytes() == descriptor_path(b).read_bytes()
 
     def test_seed_flag_changes_the_corpus(self, ws, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -221,20 +224,10 @@ class TestEval:
         assert main(args) == 2
         assert "another corpus or checkpoint" in capsys.readouterr().err
 
-    def test_eval_works_without_the_descriptor_file(self, ws, tmp_path):
-        bare = tmp_path / "corpus.jsonl"
-        shutil.copy(ws["corpus"], bare)  # the .desc sibling stays behind
-        args = _args(ws, "eval", "--corpus", str(bare), "--checkpoint", str(ws["ckpt"]))
+    def test_eval_works_without_the_descriptor_file(self, ws, monkeypatch):
+        forbid_descriptors(monkeypatch)
+        args = _args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(ws["ckpt"]))
         assert main(args) == 0
-
-    def test_cross_context_without_descriptors_is_a_config_error(self, ws, tmp_path, capsys):
-        bare = tmp_path / "corpus.jsonl"
-        shutil.copy(ws["corpus"], bare)
-        frozen = tmp_path / "frozen.yaml"
-        save_config(_small_run_config(cross_context="frozen"), frozen)
-        args = ["eval", "--config", str(frozen), "--corpus", str(bare), "--checkpoint", str(ws["ckpt"])]
-        assert main(args) == 2
-        assert "descriptors" in capsys.readouterr().err
 
     def test_cross_context_eval_runs_with_descriptors_present(self, ws, tmp_path):
         frozen = tmp_path / "frozen.yaml"
@@ -285,10 +278,93 @@ class TestAblate:
         assert "full_vs_retrieval_only" in capsys.readouterr().out
 
 
+class TestDescriptorsAreDerived:
+    """Descriptors are derived from pages on demand. Plain retrieval derives
+    none: with generate_descriptor forbidden, each command prints and writes
+    exactly what it does without the ban. The cross-context modes derive them."""
+
+    @staticmethod
+    def _command(ws, name, out):
+        ckpt, corpus = str(ws["ckpt"]), str(ws["corpus"])
+        if name == "ablate":
+            ckpts = out / "ckpts"
+            ckpts.mkdir()
+            for role in ("full", "loss_no_global", "loss_no_local", "retrieval_only"):
+                shutil.copy(ws["ckpt"], ckpts / f"{role}.ckpt")
+            return _args(ws, "ablate", "--corpus", corpus, "--checkpoints", str(ckpts),
+                         "--report-out", str(out / "rows.csv"))
+        return {
+            "index": _args(ws, "index", "--checkpoint", ckpt, "--corpus", corpus, "--out", str(out / "pages.idx")),
+            "search": _args(ws, "search", "--checkpoint", ckpt, "--index", str(ws["index"]),
+                            "--query", "21,22,23", "-k", "40"),
+            "eval": _args(ws, "eval", "--corpus", corpus, "--checkpoint", ckpt, "--report-out", str(out / "eval.csv")),
+            "train": _args(ws, "train", "--corpus", corpus, "--out", str(out / "ro.ckpt"),
+                           "--variant", "retrieval_only"),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["index", "search", "eval", "ablate", "train"])
+    def test_plain_retrieval_never_derives_a_descriptor(self, ws, tmp_path, capsys, monkeypatch, name):
+        def run(out):
+            out.mkdir()
+            assert main(self._command(ws, name, out)) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+            return capsys.readouterr().out.replace(str(out), "<out>"), files
+
+        capsys.readouterr()
+        expected = run(tmp_path / "allowed")
+        forbid_descriptors(monkeypatch)
+        assert run(tmp_path / "forbidden") == expected
+
+    @pytest.mark.parametrize("mode, command", [("frozen", "eval"), ("finetuned", "train")])
+    def test_cross_context_modes_derive_descriptors(self, ws, tmp_path, monkeypatch, mode, command):
+        config = tmp_path / f"{mode}.yaml"
+        save_config(_small_run_config(cross_context=mode), config)
+        args = [command, "--config", str(config), "--corpus", str(ws["corpus"])]
+        args += ["--checkpoint", str(ws["ckpt"])] if command == "eval" else ["--out", str(tmp_path / "x.ckpt")]
+        forbid_descriptors(monkeypatch)
+        with pytest.raises(DescriptorDerived):
+            main(args)
+
+
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "c.jsonl")]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, missing", [
+        ("search", "checkpoint"), ("search", "index"), ("eval", "checkpoint"), ("eval", "index"),
+        ("index", "checkpoint"), ("train", "resume"),
+    ])
+    def test_missing_artifact_exits_2(self, ws, tmp_path, capsys, command, missing):
+        given = {"checkpoint": str(ws["ckpt"]), "index": str(ws["index"]), "corpus": str(ws["corpus"])}
+        needs = {
+            "search": ["checkpoint", "index"], "eval": ["corpus", "checkpoint", "index"],
+            "index": ["checkpoint", "corpus"], "train": ["corpus", "resume"],
+        }[command]
+        nope = tmp_path / "nope"
+        args = _args(ws, command)
+        for flag in needs:
+            args += [f"--{flag}", str(nope) if flag == missing else given[flag]]
+        if command == "search":
+            args += ["--query", "21,22"]
+        if command in ("index", "train"):
+            args += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"file not found: {nope}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("eval", "k", "five"), ("corpus", "n_pages", "many"), ("corpus", "grid_rows", 3.0),
+        ("trainer", "batch_size", 2.5),
+    ])
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, section, key, value):
+        config = tmp_path / "run.yaml"
+        config.write_text(f"{section}:\n  {key}: {value}\n", encoding="utf-8")
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert f"config value {section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_bad_thread_count(self, ws, tmp_path, capsys):
         assert main(_args(ws, "gen", "--threads", "0", "--out", str(tmp_path / "c.jsonl"))) == 2

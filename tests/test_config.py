@@ -110,3 +110,25 @@ class TestUnknownKeys:
     def test_section_values_still_validated(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"trainer": {"tau": -1.0}})
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("data, where", [
+        ({"eval": {"k": "five"}}, "eval.k"),
+        ({"corpus": {"n_pages": "many"}}, "corpus.n_pages"),
+        ({"corpus": {"grid_rows": 3.0}}, "corpus.grid_rows"),
+        ({"trainer": {"batch_size": 2.5}}, "trainer.batch_size"),
+        ({"trainer": {"tau": True}}, "trainer.tau"),
+        ({"trainer": {"epochs": False}}, "trainer.epochs"),
+        ({"encoder": {"ff_dim": 1.5}}, "encoder.ff_dim"),
+        ({"scoring": {"use_patches": 1}}, "scoring.use_patches"),
+    ])
+    def test_wrong_type_names_the_key(self, data, where):
+        with pytest.raises(ConfigurationError, match=rf"config value {where} must be"):
+            config_from_dict(data)
+
+    def test_int_stands_for_float_and_none_for_an_unset_default(self):
+        cfg = config_from_dict({"trainer": {"learning_rate": 1, "tau": 1}, "encoder": {"ff_dim": None}})
+        assert cfg.trainer.learning_rate == 1 and cfg.trainer.tau == 1
+        assert cfg.encoder.ff_dim == 4 * cfg.encoder.model_dim
+        assert config_from_dict({"encoder": {"ff_dim": 96}}).encoder.ff_dim == 96

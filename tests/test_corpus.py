@@ -1,10 +1,11 @@
 """Corpus generation: determinism, constructive guarantees, and the file format."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from conftest import small_corpus_config
+from conftest import forbid_descriptors, small_corpus_config
 
 from glint.corpus import (
     REGION_TYPES,
@@ -13,7 +14,6 @@ from glint.corpus import (
     PageSpec,
     Region,
     TokenLayout,
-    descriptor_path,
     generate_corpus,
     generate_descriptor,
     layout_features,
@@ -28,6 +28,11 @@ from glint.corpus import (
 from glint.errors import ConfigurationError
 
 _HASH_MULT = 2654435761
+
+
+def _arrangement_key(page: PageSpec) -> tuple:
+    """Layout identity: the multiset of (type, row, col, height, width)."""
+    return tuple(sorted((r.region_type, r.row, r.col, r.height, r.width) for r in page.regions))
 
 
 def _page_2x2() -> PageSpec:
@@ -93,7 +98,6 @@ class TestGeneration:
         save_corpus(generate_corpus(cfg), a)
         save_corpus(generate_corpus(cfg), b)
         assert a.read_bytes() == b.read_bytes()
-        assert descriptor_path(a).read_bytes() == descriptor_path(b).read_bytes()
 
     def test_seed_changes_the_corpus(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -182,23 +186,51 @@ class TestGeneration:
 class TestDescriptors:
     def test_structure_only(self, small_corpus):
         layout = small_corpus.config.token_layout
-        for d in small_corpus.descriptors.values():
-            assert d.tokens
-            assert all(t < layout.content_base for t in d.tokens)
+        for pid in small_corpus.pages:
+            tokens = small_corpus.descriptor(pid)
+            assert tokens
+            assert all(t < layout.content_base for t in tokens)
 
     def test_injective_in_both_directions(self, small_corpus):
         arrangement_to_desc = {}
         desc_to_arrangement = {}
         for pid, page in small_corpus.pages.items():
-            desc = tuple(small_corpus.descriptors[pid].tokens)
-            key = page.arrangement_key()
+            desc = tuple(small_corpus.descriptor(pid))
+            key = _arrangement_key(page)
             assert arrangement_to_desc.setdefault(key, desc) == desc
             assert desc_to_arrangement.setdefault(desc, key) == key
 
+    def test_bijection_on_every_small_arrangement(self):
+        # Every set of at most two disjoint typed regions with 1-2 x 1-2 spans
+        # on a 3x3 grid. Each region carries a content id, which must never
+        # reach the descriptor, and region order must not matter.
+        layout = TokenLayout(3, 3)
+        spans = [(r, c, h, w) for h in (1, 2) for w in (1, 2) for r in range(4 - h) for c in range(4 - w)]
+        typed = [(t, span) for t in REGION_TYPES for span in spans]
+
+        def region(k, typed_span):
+            t, (r, c, h, w) = typed_span
+            return Region(t, r, c, h, w, [layout.content_base + k], word_count=1)
+
+        desc_to_arrangement = {}
+        for n in (1, 2):
+            for combo in itertools.combinations(typed, n):
+                regions = [region(k, ts) for k, ts in enumerate(combo)]
+                page = PageSpec(page_id=0, n_rows=3, n_cols=3, regions=regions)
+                try:
+                    page.validate()
+                except ConfigurationError:
+                    continue  # overlapping spans
+                desc = generate_descriptor(page)
+                assert all(t < layout.content_base for t in desc)
+                assert generate_descriptor(PageSpec(0, 3, 3, regions[::-1])) == desc
+                key = _arrangement_key(page)
+                assert desc_to_arrangement.setdefault(tuple(desc), key) == key
+        assert len(desc_to_arrangement) == 5125
+
     def test_reading_order_and_token_sequence(self):
         # Regions are serialized sorted by (row, col), five tokens each.
-        desc = generate_descriptor(_page_2x2())
-        assert desc.tokens == [0, 5, 7, 9, 11, 2, 6, 7, 9, 11]
+        assert generate_descriptor(_page_2x2()) == [0, 5, 7, 9, 11, 2, 6, 7, 9, 11]
 
 
 class TestPatternParsing:
@@ -314,58 +346,32 @@ class TestValidateCorpus:
         with pytest.raises(ConfigurationError, match="lacks some query tokens"):
             validate_corpus(broken)
 
-    def test_descriptor_page_mismatch_detected(self, small_corpus):
-        import copy
-
-        broken = copy.deepcopy(small_corpus)
-        del broken.descriptors[next(iter(broken.descriptors))]
-        with pytest.raises(ConfigurationError, match="descriptor set"):
-            validate_corpus(broken)
-
-    def test_content_token_in_descriptor_detected(self, small_corpus):
-        import copy
-
-        broken = copy.deepcopy(small_corpus)
-        pid = next(iter(broken.descriptors))
-        broken.descriptors[pid].tokens = list(broken.descriptors[pid].tokens) + [
-            broken.config.token_layout.content_base
-        ]
-        with pytest.raises(ConfigurationError, match="content tokens"):
-            validate_corpus(broken)
-
 
 class TestSerialization:
     def test_round_trip_preserves_everything(self, small_corpus, tmp_path):
         path = tmp_path / "corpus.jsonl"
         save_corpus(small_corpus, path)
-        loaded = load_corpus(path, with_descriptors=True)
+        loaded = load_corpus(path)
         assert loaded.config == small_corpus.config
         assert set(loaded.pages) == set(small_corpus.pages)
         for pid in small_corpus.pages:
             assert loaded.pages[pid] == small_corpus.pages[pid]
         assert loaded.queries == small_corpus.queries
         assert loaded.splits == small_corpus.splits
-        assert loaded.descriptors == small_corpus.descriptors
 
-    def test_descriptors_live_in_a_sibling_file(self, small_corpus, tmp_path):
+    def test_load_without_descriptors_leaves_them_unread(self, small_corpus, tmp_path, monkeypatch):
+        # Loading derives no descriptor, and a descriptor file left next to
+        # the corpus by an older version is never read.
         path = tmp_path / "corpus.jsonl"
         save_corpus(small_corpus, path)
-        assert descriptor_path(path) == tmp_path / "corpus.desc.jsonl"
-        assert descriptor_path(path).exists()
-
-    def test_load_without_descriptors_leaves_them_unread(self, small_corpus, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(small_corpus, path)
-        descriptor_path(path).unlink()
+        (tmp_path / "corpus.desc.jsonl").write_text("not a descriptor file\n")
+        forbid_descriptors(monkeypatch)
         loaded = load_corpus(path)
-        assert loaded.descriptors is None
+        assert loaded.pages == small_corpus.pages
 
-    def test_missing_descriptor_file_is_an_error_when_requested(self, small_corpus, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        save_corpus(small_corpus, path)
-        descriptor_path(path).unlink()
-        with pytest.raises(ConfigurationError, match="descriptors required"):
-            load_corpus(path, with_descriptors=True)
+    def test_save_writes_one_file(self, small_corpus, tmp_path):
+        save_corpus(small_corpus, tmp_path / "corpus.jsonl")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):

@@ -5,6 +5,7 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import DescriptorDerived, forbid_descriptors
 
 from glint.encoder import Encoder
 from glint.errors import ConfigurationError
@@ -120,17 +121,17 @@ class TestEncodeSplitDocs:
         with pytest.raises(ConfigurationError, match="unknown split"):
             encode_split_docs(trained_small, small_corpus, "holdout")
 
-    def test_cross_context_requires_descriptors(self, trained_small, small_corpus):
-        bare = copy.deepcopy(small_corpus)
-        bare.descriptors = None
-        with pytest.raises(ConfigurationError, match="cross-context scoring requires descriptors"):
-            encode_split_docs(trained_small, bare, "test", cross_context=True)
+    def test_cross_context_requires_descriptors(self, trained_small, small_corpus, monkeypatch):
+        forbid_descriptors(monkeypatch)
+        encode_split_docs(trained_small, small_corpus, "test")
+        with pytest.raises(DescriptorDerived):
+            encode_split_docs(trained_small, small_corpus, "test", cross_context=True)
 
     def test_cross_context_appends_descriptor_rows(self, trained_small, small_corpus):
         plain = encode_split_docs(trained_small, small_corpus, "test")
         crossed = encode_split_docs(trained_small, small_corpus, "test", cross_context=True)
         for base, cross in zip(plain, crossed):
-            n_desc = len(small_corpus.descriptors[base.page_id].tokens)
+            n_desc = len(small_corpus.descriptor(base.page_id))
             assert cross.patches.shape[0] == base.patches.shape[0] + n_desc
             np.testing.assert_array_equal(cross.patches[: base.patches.shape[0]], base.patches)
             np.testing.assert_array_equal(cross.global_vec, base.global_vec)

@@ -5,7 +5,13 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import small_corpus_config, small_encoder_config, small_trainer_config
+from conftest import (
+    DescriptorDerived,
+    forbid_descriptors,
+    small_corpus_config,
+    small_encoder_config,
+    small_trainer_config,
+)
 
 from glint.corpus import generate_corpus
 from glint.encoder import Encoder, init_params
@@ -134,18 +140,19 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError, match="train and dev"):
             train(broken, small_encoder_config(), small_trainer_config())
 
-    def test_descriptor_losses_require_descriptors(self, small_corpus):
-        bare = copy.deepcopy(small_corpus)
-        bare.descriptors = None
-        with pytest.raises(ConfigurationError, match="without them"):
-            train(bare, small_encoder_config(), small_trainer_config())
+    def test_descriptor_losses_require_descriptors(self, small_corpus, monkeypatch):
+        forbid_descriptors(monkeypatch)
+        with pytest.raises(DescriptorDerived):
+            train(small_corpus, small_encoder_config(), small_trainer_config())
 
-    def test_retrieval_only_trains_without_descriptors(self, small_corpus):
-        bare = copy.deepcopy(small_corpus)
-        bare.descriptors = None
+    def test_retrieval_only_trains_without_descriptors(self, small_corpus, monkeypatch):
         tcfg = small_trainer_config(epochs=1, enable_global=False, enable_local=False)
-        result = train(bare, small_encoder_config(), tcfg)
-        assert result.steps_trained > 0
+        expected = train(small_corpus, small_encoder_config(), tcfg)
+        forbid_descriptors(monkeypatch)
+        result = train(small_corpus, small_encoder_config(), tcfg)
+        assert result.steps_trained == expected.steps_trained > 0
+        for name, value in expected.params.items():
+            np.testing.assert_array_equal(result.params[name], value)
 
     def test_divergence_raises_with_diagnostics_and_partial_log(self, small_corpus):
         # Bounded losses cannot overflow on their own; an absurd decay spiral
