@@ -129,6 +129,11 @@ def config_from_dict(data: dict) -> RunConfig:
     _check_types(eval_section, eval_types, "eval")
 
     seed = data.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise ConfigurationError(f"config value seed must be int, got {seed!r}")
+    rows = data.get("ablation_rows")
+    if rows is not None and not (isinstance(rows, list) and all(isinstance(r, str) for r in rows)):
+        raise ConfigurationError(f"config value ablation_rows must be a list of strings, got {rows!r}")
     return RunConfig(
         seed=0 if seed is None else seed,
         corpus=_build_section(CorpusConfig, data.get("corpus", {}), "corpus", seed),
@@ -138,7 +143,7 @@ def config_from_dict(data: dict) -> RunConfig:
         eval_k=eval_section.get("k", 5),
         eval_split=eval_section.get("split", "test"),
         cross_context=cross,
-        ablation_rows=data.get("ablation_rows"),
+        ablation_rows=rows,
     )
 
 

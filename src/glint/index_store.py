@@ -61,7 +61,7 @@ def read_index(path) -> DocumentIndex:
     """Load an index, verifying magic, version, checksum, and exact length.
 
     Each record is read as a view of the file buffer, which the
-    DocumentIndex copies once into its block.
+    DocumentIndex copies once into its tiles.
     """
     try:
         blob = Path(path).read_bytes()

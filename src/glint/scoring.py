@@ -1,4 +1,4 @@
-"""Late-interaction (MaxSim) scoring, the stacked document index, ranking, pooling.
+"""Late-interaction (MaxSim) scoring, the tiled document index, ranking, pooling.
 
 The relevance of a document to a query is the sum, over active query rows, of
 the maximum dot product against any active document row. With all flags on the
@@ -6,15 +6,20 @@ row sets are (tokens + query global) x (patches + document global). Flags
 exist so scoring ablations (drop patches / drop either global) reuse one code
 path. Inputs are assumed row-normalized, so dot products are cosines.
 
-Every MaxSim in the package goes through one kernel, `maxsim`, which scores a
-query, or a stack of equally long queries, against a stack of equally long
-documents with one batched matmul.
-`DocumentIndex` keeps documents in that form: one contiguous
-(n_L, L + 1, d) block per distinct patch count L, patches first and the global
-row last, so a flag setting is a slice of the block. numpy runs the same 2-D
-product on every slice of a stack, so a document's score does not depend on
-which other documents share its block: pairwise and ranked scores are
-bit-identical by construction.
+Every MaxSim in the package runs one product, `_sims`, on documents held in
+tiles of `_TILE` documents: a stack of documents with R rows each is a
+(n_tiles, R, _TILE, d) array, zero-padded to a whole tile, so document c of
+tile t has rows `tiles[t, :, c]`. The product scores every query row against
+one row of all 64 documents of a tile at once, and every slice of it has the
+same shape, (L_q, d) @ (d, _TILE), whatever the number of documents; numpy
+runs the same 2-D product on every slice, so a document's score does not
+depend on which other documents share its tiles. The row maxima are then
+taken elementwise over contiguous 64-wide slabs, and the query rows are added
+strictly one after another, never in an order numpy picks from the array's
+shape. So pairwise, ranked and training-grid scores are bit-identical by
+construction. The width is fixed, not a setting: a block of n documents
+scores ceil(n / 64) * 64 slots, so a block of a few documents (say, one per
+cross-context row count) pays for a whole tile.
 """
 
 from __future__ import annotations
@@ -62,6 +67,34 @@ def query_rows(q: QueryEmbedding, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
     return q.tokens
 
 
+#: Documents per tile; fixed so that every product slice has one shape.
+_TILE = 64
+
+
+def _tile(d_rows: np.ndarray) -> np.ndarray:
+    """Copy an (n, R, d) stack into zero-padded (ceil(n / _TILE), R, _TILE, d) tiles."""
+    n, n_rows, dim = d_rows.shape
+    tiles = np.zeros((-(-n // _TILE), n_rows, _TILE, dim), dtype=np.float64)
+    slots = np.arange(n)
+    tiles[slots // _TILE, :, slots % _TILE] = d_rows
+    return tiles
+
+
+def _sims(q_rows: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Every query row against every row of every tiled document:
+    (..., n_tiles, R, L_q, _TILE), one (L_q, d) @ (d, _TILE) slice per tile row."""
+    return q_rows[..., None, None, :, :] @ tiles.swapaxes(-1, -2)
+
+
+def _row_sum(best: np.ndarray) -> np.ndarray:
+    """Add the (..., L_q, _TILE) row maxima over the query rows strictly in
+    order, whatever the shape (np.sum picks its order from the shape)."""
+    total = best[..., 0, :].copy()
+    for i in range(1, best.shape[-2]):
+        total += best[..., i, :]
+    return total
+
+
 def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MaxSim of one query, or a stack of equally long queries, against a
     stack of documents with equal row counts.
@@ -69,23 +102,35 @@ def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     q_rows is (L_q, d) or (n_q, L_q, d) and d_rows is (n_d, L_d, d). Returns
     the scores, shape (n_d,) or (n_q, n_d), and per query, document and
     query row the index of the best document row, shape (n_d, L_q) or
-    (n_q, n_d, L_q). np.argmax takes the lowest index on ties; each pair's
-    maxima are summed in fixed query-row order. Every (query, document) pair
-    is its own slice of one stacked matmul, so a stack of queries scores
-    bit-identically to one call per query.
+    (n_q, n_d, L_q). np.argmax takes the lowest index on ties. The stack is
+    tiled on entry and scored like a DocumentIndex, so a document scores
+    bit-identically alone, in any stack and in an index, and a stack of
+    queries bit-identically to one call per query.
     """
-    sims = q_rows[..., None, :, :] @ d_rows.transpose(0, 2, 1)
-    arg = np.argmax(sims, axis=-1)
-    best = np.take_along_axis(sims, arg[..., None], axis=-1)[..., 0]
-    return np.sum(best, axis=-1), arg
+    n_d = d_rows.shape[0]
+    sims = _sims(q_rows, _tile(d_rows))
+    best = np.maximum.reduce(sims, axis=-3)
+    # The first row equal to the maximum, which is np.argmax's choice; numpy
+    # copies the reduced axis last, and a boolean array is an eighth the bytes.
+    arg = np.argmax(sims == best[..., None, :, :], axis=-3).swapaxes(-1, -2)
+    scores = _row_sum(best)
+    lead = scores.shape[:-2]
+    return (
+        scores.reshape(lead + (-1,))[..., :n_d],
+        arg.reshape(lead + (-1, arg.shape[-1]))[..., :n_d, :],
+    )
 
 
 class DocumentIndex(Sequence[DocumentEmbedding]):
     """Immutable document set stored for the MaxSim kernel.
 
-    Holds one read-only (n_L, L + 1, d) block per distinct patch count L,
-    with each document's patches first and its global row last. The
-    documents it yields are views into those blocks, in the order given.
+    Holds one read-only (n_tiles, L + 1, _TILE, d) tiles array per distinct
+    patch count L: the documents of that count in the order given, 64 to a
+    tile, zero-padded to a whole tile, each with its patches first and its
+    global row last. Document c of tile t is the view `tiles[t, :-1, c]`
+    (patches) and `tiles[t, -1, c]` (global row), and a flag setting is a
+    slice of the row axis. Scoring a block of n documents costs
+    ceil(n / 64) * 64 slots, whatever n.
     """
 
     def __init__(self, docs: Iterable[DocumentEmbedding]):
@@ -99,21 +144,23 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         self._docs: list[DocumentEmbedding | None] = [None] * len(docs)
         self._blocks = []
         for n_rows, positions in groups.items():
-            block = np.empty((len(positions), n_rows + 1, dim), dtype=np.float64)
+            tiles = np.zeros((-(-len(positions) // _TILE), n_rows + 1, _TILE, dim), dtype=np.float64)
             for slot, pos in enumerate(positions):
                 if docs[pos].global_vec.shape[0] != dim:
                     raise DimensionMismatchError(
                         f"DocumentIndex: page {docs[pos].page_id} has d={docs[pos].global_vec.shape[0]}, "
                         f"expected {dim}"
                     )
-                block[slot, :-1] = docs[pos].patches
-                block[slot, -1] = docs[pos].global_vec
-            block.flags.writeable = False
+                t, c = divmod(slot, _TILE)
+                tiles[t, :-1, c] = docs[pos].patches
+                tiles[t, -1, c] = docs[pos].global_vec
+            tiles.flags.writeable = False
             for slot, pos in enumerate(positions):
+                t, c = divmod(slot, _TILE)
                 self._docs[pos] = DocumentEmbedding(
-                    patches=block[slot, :-1], global_vec=block[slot, -1], page_id=self._page_ids[pos]
+                    patches=tiles[t, :-1, c], global_vec=tiles[t, -1, c], page_id=self._page_ids[pos]
                 )
-            self._blocks.append((np.asarray(positions, dtype=np.intp), block))
+            self._blocks.append((np.asarray(positions, dtype=np.intp), tiles))
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -136,13 +183,23 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         else:
             rows = slice(-1, None)
         out = np.empty(len(self), dtype=np.float64)
-        for positions, block in self._blocks:
-            out[positions], _ = maxsim(q_rows, block[:, rows])
+        for positions, tiles in self._blocks:
+            best = np.maximum.reduce(_sims(q_rows, tiles[:, rows]), axis=-3)
+            out[positions] = _row_sum(best).reshape(-1)[: len(positions)]
         return out
 
     def top(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Positions of the k best scores, descending; ties by ascending page id."""
-        return np.lexsort((self._id_keys, -scores))[:k]
+        """Positions of the k best scores, descending; ties by ascending page id.
+
+        For k below the index size np.partition finds the k-th best score and
+        only the positions scoring at least that (ties straddling k included)
+        are sorted.
+        """
+        n = len(scores)
+        if k >= n:
+            return np.lexsort((self._id_keys, -scores))
+        keep = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        return keep[np.lexsort((self._id_keys[keep], -scores[keep]))[:k]]
 
 
 def maxsim_score(

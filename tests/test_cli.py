@@ -366,6 +366,16 @@ class TestErrorHandling:
         assert f"config value {section}.{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("line, name", [
+        ("seed: many", "seed"), ("seed: true", "seed"), ("ablation_rows: full", "ablation_rows"),
+    ])
+    def test_wrong_typed_top_level_value_exits_2(self, tmp_path, capsys, line, name):
+        config = tmp_path / "run.yaml"
+        config.write_text(line + "\n", encoding="utf-8")
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert f"config value {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_bad_thread_count(self, ws, tmp_path, capsys):
         assert main(_args(ws, "gen", "--threads", "0", "--out", str(tmp_path / "c.jsonl"))) == 2
         assert "argument error" in capsys.readouterr().err

@@ -127,6 +127,18 @@ class TestValueTypes:
         with pytest.raises(ConfigurationError, match=rf"config value {where} must be"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"seed": "many"}, "config value seed must be int, got 'many'"),
+        ({"seed": True}, "config value seed must be int, got True"),
+        ({"seed": 1.5, "corpus": {"seed": 2}}, "config value seed must be int, got 1.5"),
+        ({"ablation_rows": "full"}, "config value ablation_rows must be a list of strings, got 'full'"),
+        ({"ablation_rows": ["full", 3]}, "config value ablation_rows must be a list of strings"),
+    ])
+    def test_wrong_top_level_type_names_the_top_level_key(self, data, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            config_from_dict(data)
+        assert str(excinfo.value).startswith(message)
+
     def test_int_stands_for_float_and_none_for_an_unset_default(self):
         cfg = config_from_dict({"trainer": {"learning_rate": 1, "tau": 1}, "encoder": {"ff_dim": None}})
         assert cfg.trainer.learning_rate == 1 and cfg.trainer.tau == 1

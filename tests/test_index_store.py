@@ -9,7 +9,7 @@ import pytest
 from glint.embeddings import DocumentEmbedding, normalize_rows
 from glint.errors import IntegrityError
 from glint.index_store import INDEX_MAGIC, read_index, write_index
-from glint.scoring import DocumentIndex
+from glint.scoring import _TILE, DocumentIndex
 
 
 def _random_docs(seed=0, n=5, d=8):
@@ -58,11 +58,15 @@ class TestRoundTrip:
         for doc in loaded:
             owner = doc.patches.base
             assert owner is doc.global_vec.base and owner.flags.c_contiguous
-            assert not doc.patches.flags.writeable
-            # Each document's patches and then its global row, back to back.
+            assert not doc.patches.flags.writeable and not owner.flags.writeable
+            # One (n_tiles, patches + 1, _TILE, d) tiles array per patch count:
+            # a document's rows run down the row axis, its global row last.
+            n_rows, dim = doc.patches.shape
+            assert owner.shape[1:] == (n_rows + 1, _TILE, dim)
+            assert doc.patches.strides == owner.strides[1::2]
             start = doc.patches.__array_interface__["data"][0]
-            assert doc.global_vec.__array_interface__["data"][0] == start + doc.patches.nbytes
-            owners.setdefault(doc.patches.shape[0], set()).add(id(owner))
+            assert doc.global_vec.__array_interface__["data"][0] == start + n_rows * owner.strides[1]
+            owners.setdefault(n_rows, set()).add(id(owner))
         assert len(owners) > 1 and all(len(ids) == 1 for ids in owners.values())
 
     def test_empty_index(self, tmp_path):

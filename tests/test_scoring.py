@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glint.embeddings import DocumentEmbedding, QueryEmbedding, normalize_rows
+from glint.encoder import EncoderConfig
 from glint.errors import ConfigurationError, DimensionMismatchError
 from glint.scoring import (
     ALL_ROWS,
@@ -174,14 +175,6 @@ class TestRank:
         assert isinstance(rank(q, [d], k=1), Ranking)
 
 
-def _loop_maxsim(q_rows, d_rows):
-    """The per-document 2-D reference: one product, argmax, and the sum of
-    the selected entries in query-row order."""
-    sims = q_rows @ d_rows.T
-    arg = np.argmax(sims, axis=1)
-    return float(np.sum(sims[np.arange(sims.shape[0]), arg])), arg
-
-
 def _active_doc_rows(d, flags):
     rows = ([d.patches] if flags.use_patches else []) + ([d.global_vec[None, :]] if flags.use_doc_global else [])
     return np.vstack(rows)
@@ -202,9 +195,9 @@ class TestMaxsimKernel:
             scores, arg = maxsim(q_rows, d_rows)
             assert scores.shape == (6,) and arg.shape == (6, q_rows.shape[0])
             for j in range(6):
-                ref, ref_arg = _loop_maxsim(q_rows, d_rows[j])
-                assert scores[j] == ref
-                np.testing.assert_array_equal(arg[j], ref_arg)
+                ref, ref_arg = maxsim(q_rows, d_rows[j][None])  # the document scored alone
+                assert scores[j] == ref[0]
+                np.testing.assert_array_equal(arg[j], ref_arg[0])
         # A stack of queries scores as one 2-D call per query, bit for bit.
         for n_q, l_q, n_d, l_d in ((20, 9, 32, 17), (12, 4, 32, 17), (3, 9, 5, 30), (1, 9, 4000, 17)):
             q_stack = normalize_rows(rng.normal(size=(n_q * l_q, 16))).reshape(n_q, l_q, 16)
@@ -237,7 +230,7 @@ class TestDocumentIndex:
                 assert out.scores == [s for s, _ in pairwise]  # exact, not approx
                 q_rows = query_rows(q, flags)
                 for d in docs:
-                    assert maxsim_score(q, d, flags) == _loop_maxsim(q_rows, _active_doc_rows(d, flags))[0]
+                    assert maxsim_score(q, d, flags) == maxsim(q_rows, _active_doc_rows(d, flags)[None])[0][0]
 
     def test_plain_list_and_index_give_equal_rankings(self):
         rng = np.random.default_rng(22)
@@ -284,6 +277,46 @@ class TestDocumentIndex:
         docs = [_random_pair(rng, d=8)[1], _random_pair(rng, d=4)[1]]
         with pytest.raises(DimensionMismatchError):
             DocumentIndex(docs)
+
+
+class TestTileBoundaries:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_a_document_scores_alone_as_inside_the_index_at_every_tile_column(self, n):
+        rng = np.random.default_rng(40 + n)
+        docs = [_random_pair(rng, d=16, ld=5, pid=j)[1] for j in range(n)]
+        index = DocumentIndex(docs)
+        for flags in FLAG_ROWS:
+            q = _random_pair(rng, d=16, lq=7)[0]
+            q_rows = query_rows(q, flags)
+            stack = np.stack([_active_doc_rows(d, flags) for d in docs])
+            in_index = index.scores(q_rows, flags)
+            in_stack, arg = maxsim(q_rows, stack)
+            for j, d in enumerate(docs):
+                alone, alone_arg = maxsim(q_rows, stack[j][None])
+                assert in_index[j] == in_stack[j] == alone[0] == maxsim_score(q, d, flags)
+                np.testing.assert_array_equal(arg[j], alone_arg[0])
+
+    def test_search_shape_matches_the_naive_loop_at_every_query_length(self):
+        rng = np.random.default_rng(47)
+        docs = [_random_pair(rng, d=32, ld=16, pid=j)[1] for j in range(65)]
+        index = DocumentIndex(docs)
+        for lq in range(1, EncoderConfig().max_seq + 1):
+            flags = FLAG_ROWS[lq % len(FLAG_ROWS)]
+            q = _random_pair(rng, d=32, lq=lq)[0]
+            scores = index.scores(query_rows(q, flags), flags)
+            for j in (0, 63, 64):  # first and last column of a tile, first of the next
+                assert abs(scores[j] - naive_maxsim(q, docs[j], flags)) <= 1e-12
+
+
+class TestTop:
+    def test_partial_selection_equals_the_full_sort_for_every_k(self):
+        rng = np.random.default_rng(48)
+        index = DocumentIndex(_mixed_docs(rng, n=40))
+        scores = rng.integers(0, 6, size=40).astype(float)  # many exact ties
+        scores[[3, 17, 25]] = scores[5] = 7.0  # a tie at the top straddles k = 1..3
+        full = np.lexsort((np.asarray(index.page_ids), -scores))
+        for k in range(1, 45):
+            np.testing.assert_array_equal(index.top(scores, k), full[:k])
 
 
 class TestPoolPatches:
