@@ -6,7 +6,7 @@ import os
 from pathlib import Path
 
 
-def write_atomic(path, data: bytes) -> None:
+def write_atomic(path, data: bytes | bytearray) -> None:
     """Replace `path` by `data` in one step: write a sibling temp file, then
     `os.replace` it over the target, so a process that dies or fails
     mid-write leaves the previous file's bytes intact. There is no fsync:

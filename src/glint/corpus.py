@@ -712,9 +712,14 @@ def load_corpus(path) -> Corpus:
         kind = rec.get("kind")
         with _record_errors(path, kind):
             if kind == "page":
+                pid = rec["page_id"]
+                if type(pid) is not int or not 0 <= pid < 2**64:
+                    raise ConfigurationError(
+                        f"{path}: page record with page_id {pid!r}: a page id must be an integer in [0, 2**64)"
+                    )
                 regions = [Region(**r) for r in rec["regions"]]
-                pages[rec["page_id"]] = PageSpec(
-                    page_id=rec["page_id"], n_rows=rec["n_rows"], n_cols=rec["n_cols"], regions=regions
+                pages[pid] = PageSpec(
+                    page_id=pid, n_rows=rec["n_rows"], n_cols=rec["n_cols"], regions=regions
                 )
             elif kind == "query":
                 queries[rec["query_id"]] = QuerySpec(

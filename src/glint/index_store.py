@@ -7,16 +7,18 @@ Binary layout (all integers little-endian):
     trailing u32 CRC32 over everything before it
 
 Vectors are stored as float64 so read(write(x)) == x bit-exactly. Every row is
-required to be unit-norm at write time; reads re-verify the checksum and the
-exact byte length and raise IntegrityError on any mismatch.
+required to be unit-norm (so finite) at write time; reads re-verify the
+checksum and the exact byte length, and raise IntegrityError on any mismatch
+or on a non-finite row.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import zlib
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -32,46 +34,56 @@ _NORM_TOL = 1e-6
 
 def _check_unit_rows(rows: np.ndarray, what: str) -> None:
     norms = np.linalg.norm(rows, axis=-1)
-    bad = np.abs(norms - 1.0) > _NORM_TOL
+    bad = ~(np.abs(norms - 1.0) <= _NORM_TOL)  # a NaN norm is not within tol either
     if np.any(bad):
         raise ValueError(f"{what}: {int(np.sum(bad))} rows are not unit-norm")
 
 
 def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
     """Serialize document embeddings. Every row is validated before the file
-    is replaced in one step, so no failure leaves a partial index behind."""
-    if docs:
-        d = docs[0].global_vec.shape[0]
-    else:
-        d = 0
-    chunks = [INDEX_MAGIC, struct.pack("<III", INDEX_VERSION, d, len(docs))]
+    is replaced in one step, so no failure leaves a partial index behind.
+    The file is assembled in one buffer of its final size, the only copy of
+    its bytes that writing holds."""
+    d = docs[0].global_vec.shape[0] if docs else 0
     for doc in docs:
         if doc.global_vec.shape[0] != d or doc.patches.shape[1] != d:
             raise ValueError(f"page {doc.page_id}: dimension mismatch with index header d={d}")
         _check_unit_rows(doc.patches, f"page {doc.page_id} patches")
         _check_unit_rows(doc.global_vec, f"page {doc.page_id} global")
-        chunks.append(struct.pack("<QI", doc.page_id, doc.patches.shape[0]))
-        chunks.append(np.ascontiguousarray(doc.patches, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(doc.global_vec, dtype="<f8").tobytes())
-    payload = b"".join(chunks)
-    write_atomic(path, payload + struct.pack("<I", zlib.crc32(payload)))
+    size = 16 + sum(12 + (doc.patches.shape[0] + 1) * d * 8 for doc in docs)
+    blob = bytearray(size + 4)
+    blob[:16] = INDEX_MAGIC + struct.pack("<III", INDEX_VERSION, d, len(docs))
+    off = 16
+    for doc in docs:
+        n_rows = doc.patches.shape[0]
+        struct.pack_into("<QI", blob, off, doc.page_id, n_rows)
+        rows = np.frombuffer(blob, dtype="<f8", count=(n_rows + 1) * d, offset=off + 12).reshape(n_rows + 1, d)
+        rows[:-1] = doc.patches
+        rows[-1] = doc.global_vec
+        off += 12 + rows.nbytes
+    struct.pack_into("<I", blob, size, zlib.crc32(memoryview(blob)[:size]))
+    write_atomic(path, blob)
 
 
 def read_index(path) -> DocumentIndex:
     """Load an index, verifying magic, version, checksum, and exact length.
 
-    Each record is read as a view of the file buffer, which the
-    DocumentIndex copies once into its tiles.
+    Each record is read as a view of the file mapped into memory, which the
+    DocumentIndex copies once into its tiles. The mapping is released with
+    the last view of it, when this returns, so the file's bytes never take
+    heap memory. Writers replace an index by rename, so a mapped file does
+    not change underneath.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size < 4 + 12 + 4:
+                raise IntegrityError(f"{path}: too short to be an index file")
+            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"index file not found: {path}") from exc
-    if len(blob) < 4 + 12 + 4:
-        raise IntegrityError(f"{path}: too short to be an index file")
     if blob[:4] != INDEX_MAGIC:
         raise IntegrityError(f"{path}: bad magic {blob[:4]!r}")
-    payload, (stored_crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    payload, (stored_crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) != stored_crc:
         raise IntegrityError(f"{path}: checksum mismatch; file is corrupted")
     version, d, n_docs = struct.unpack_from("<III", payload, 4)
@@ -93,4 +105,7 @@ def read_index(path) -> DocumentIndex:
         off += need
     if off != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - off} trailing bytes after last record")
-    return DocumentIndex(docs)
+    try:
+        return DocumentIndex(docs)
+    except ValueError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc

@@ -20,6 +20,13 @@ shape. So pairwise, ranked and training-grid scores are bit-identical by
 construction. The width is fixed, not a setting: a block of n documents
 scores ceil(n / 64) * 64 slots, so a block of a few documents (say, one per
 cross-context row count) pays for a whole tile.
+
+Ranking the top k of an index below its size (`search`) first scores every
+document from a float32 copy of the tiles, which is cheaper and within a
+proven bound ε of the exact score, then scores only the documents that could
+still be in the top k with the exact kernel. Every returned score comes from
+that kernel, so it is the score a full scan gives, bit for bit. Rankings of
+the whole index (evaluation, training, ablations) take the full scan.
 """
 
 from __future__ import annotations
@@ -121,6 +128,40 @@ def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     )
 
 
+def _active_rows(flags: ScoringFlags) -> slice:
+    """The slice of a tile's row axis (patches, then the global row) that flags keep."""
+    flags.validate()
+    if flags.use_patches and flags.use_doc_global:
+        return slice(None)
+    if flags.use_patches:
+        return slice(None, -1)
+    return slice(-1, None)
+
+
+#: float32 unit roundoff.
+_U32 = 2.0**-24
+
+
+def bound_error(q_rows: np.ndarray, d_norm_max: float) -> float:
+    """ε: how far DocumentIndex.approx_scores can be from scores() for these
+    query rows against document rows no longer than d_norm_max.
+
+    Rounding q and d to float32 moves a dot product by at most
+    (2u + u²)·|q|·|d|, and a float32 dot product of length d, in any summation
+    order and with FMA, errs by at most γ_d·Σ|q_i·d_i| <= γ_d·(1+u)²·|q|·|d|,
+    with u = 2⁻²⁴ and γ_d = d·u / (1 − d·u). A row maximum moves no more
+    than its entries, and L_q of them are added. The last term covers the
+    float64 rounding of both scores. Returns inf when a product could leave
+    float32 range, where no bound holds.
+    """
+    n_q, dim = q_rows.shape
+    scale = float(np.sqrt(np.max(np.einsum("ij,ij->i", q_rows, q_rows)))) * d_norm_max
+    if not scale < 1e30:
+        return np.inf
+    gamma = dim * _U32 / (1 - dim * _U32)
+    return n_q * scale * ((1 + _U32) ** 2 * gamma + 2 * _U32 + _U32 * _U32) + n_q * 1e-12 * max(1.0, scale)
+
+
 class DocumentIndex(Sequence[DocumentEmbedding]):
     """Immutable document set stored for the MaxSim kernel.
 
@@ -131,6 +172,11 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
     (patches) and `tiles[t, -1, c]` (global row), and a flag setting is a
     slice of the row axis. Scoring a block of n documents costs
     ceil(n / 64) * 64 slots, whatever n.
+
+    Each block also keeps a read-only float32 copy of its tiles (half their
+    bytes), which only top() reads, to pick the candidates it scores
+    exactly; and the index keeps its largest row norm, for the bound on that
+    pass. Every row must be finite.
     """
 
     def __init__(self, docs: Iterable[DocumentEmbedding]):
@@ -143,6 +189,7 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         self._id_keys = np.asarray(self._page_ids)
         self._docs: list[DocumentEmbedding | None] = [None] * len(docs)
         self._blocks = []
+        self._norm_max = 0.0
         for n_rows, positions in groups.items():
             tiles = np.zeros((-(-len(positions) // _TILE), n_rows + 1, _TILE, dim), dtype=np.float64)
             for slot, pos in enumerate(positions):
@@ -154,13 +201,19 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
                 t, c = divmod(slot, _TILE)
                 tiles[t, :-1, c] = docs[pos].patches
                 tiles[t, -1, c] = docs[pos].global_vec
+            if not np.isfinite(tiles).all():
+                bad = positions[np.argmin(np.isfinite(tiles).all(axis=(1, 3)).reshape(-1))]
+                raise ValueError(f"DocumentIndex: page {self._page_ids[bad]} has a non-finite row")
             tiles.flags.writeable = False
+            tiles32 = tiles.astype(np.float32)
+            tiles32.flags.writeable = False
+            self._norm_max = max(self._norm_max, float(np.sqrt(np.max(np.einsum("trcd,trcd->trc", tiles, tiles)))))
             for slot, pos in enumerate(positions):
                 t, c = divmod(slot, _TILE)
                 self._docs[pos] = DocumentEmbedding(
                     patches=tiles[t, :-1, c], global_vec=tiles[t, -1, c], page_id=self._page_ids[pos]
                 )
-            self._blocks.append((np.asarray(positions, dtype=np.intp), tiles))
+            self._blocks.append((np.asarray(positions, dtype=np.intp), tiles, tiles32))
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -173,33 +226,72 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         """The documents' page ids, in order (the documents' own objects)."""
         return self._page_ids
 
+    @property
+    def norm_max(self) -> float:
+        """The largest norm of any document row."""
+        return self._norm_max
+
     def scores(self, q_rows: np.ndarray, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
         """MaxSim of the query rows against every document, in index order."""
-        flags.validate()
-        if flags.use_patches and flags.use_doc_global:
-            rows = slice(None)
-        elif flags.use_patches:
-            rows = slice(None, -1)
-        else:
-            rows = slice(-1, None)
+        rows = _active_rows(flags)
         out = np.empty(len(self), dtype=np.float64)
-        for positions, tiles in self._blocks:
+        for positions, tiles, _ in self._blocks:
             best = np.maximum.reduce(_sims(q_rows, tiles[:, rows]), axis=-3)
             out[positions] = _row_sum(best).reshape(-1)[: len(positions)]
         return out
 
-    def top(self, scores: np.ndarray, k: int) -> np.ndarray:
-        """Positions of the k best scores, descending; ties by ascending page id.
+    def approx_scores(self, q_rows: np.ndarray, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
+        """MaxSim of the query rows against every document, in index order,
+        from the float32 rows: one (R * 64, d) @ (d, L_q) product per tile,
+        the row maxima over R, then the query rows added in float64. Within
+        bound_error(q_rows, norm_max) of scores(), and not bit-stable."""
+        rows = _active_rows(flags)
+        q32 = np.ascontiguousarray(q_rows.T, dtype=np.float32)
+        ones = np.ones(q32.shape[1])
+        out = np.empty(len(self), dtype=np.float64)
+        for positions, _, tiles32 in self._blocks:
+            block = tiles32[:, rows]
+            n_tiles, n_rows = block.shape[:2]
+            sims = block.reshape(n_tiles, n_rows * _TILE, -1) @ q32
+            best = np.maximum.reduce(sims.reshape(n_tiles, n_rows, -1), axis=1)
+            out[positions] = best.reshape(n_tiles * _TILE, -1)[: len(positions)] @ ones
+        return out
 
-        For k below the index size np.partition finds the k-th best score and
-        only the positions scoring at least that (ties straddling k included)
-        are sorted.
+    def top(self, q_rows: np.ndarray, k: int, flags: ScoringFlags = ALL_ROWS) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the k best documents, descending by score, ties by
+        ascending page id, and their scores, each bit-identical to scores().
+
+        For k >= len(self), or query rows whose products with the documents'
+        could leave float32 range, every document is scored and sorted. Else
+        approx_scores picks the candidates: a_k being the k-th best approximate
+        score, the k documents scoring at least a_k approximately score at
+        least a_k - ε exactly, so every document in the exact top k, and every
+        exact tie at its edge, scores at least a_k - 2ε approximately. Only
+        those are scored by the exact kernel, gathered into fresh tiles, and
+        sorted. The query rows must be finite.
         """
-        n = len(scores)
-        if k >= n:
-            return np.lexsort((self._id_keys, -scores))
-        keep = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-        return keep[np.lexsort((self._id_keys[keep], -scores[keep]))[:k]]
+        if not np.isfinite(q_rows).all():
+            raise ValueError("DocumentIndex.top: the query has a non-finite row")
+        n = len(self)
+        eps = bound_error(q_rows, self._norm_max) if k < n else np.inf
+        if eps == np.inf:
+            scores = self.scores(q_rows, flags)
+            order = np.lexsort((self._id_keys, -scores))[:k]
+            return order, scores[order]
+        approx = self.approx_scores(q_rows, flags)
+        keep = approx >= np.partition(approx, n - k)[n - k] - 2 * eps
+        rows = _active_rows(flags)
+        found, exact = [], []
+        for positions, tiles, _ in self._blocks:
+            slots = np.flatnonzero(keep[positions])
+            if slots.size:
+                t, c = np.divmod(slots, _TILE)
+                best = np.maximum.reduce(_sims(q_rows, _tile(tiles[t, rows, c])), axis=-3)
+                found.append(positions[slots])
+                exact.append(_row_sum(best).reshape(-1)[: slots.size])
+        found, exact = np.concatenate(found), np.concatenate(exact)
+        order = np.lexsort((self._id_keys[found], -exact))[:k]
+        return found[order], exact[order]
 
 
 def maxsim_score(
@@ -220,7 +312,10 @@ def rank(
     """Top-min(k, |index|) documents by maxsim_score; ties broken by ascending page id.
 
     A plain list is stacked into a DocumentIndex first; callers ranking many
-    queries against one list should build the DocumentIndex once.
+    queries against one list should build the DocumentIndex once. Below the
+    index size, DocumentIndex.top scores only the candidates of a float32
+    pass exactly; the ids and scores are those of a full scan, bit for bit.
+    A query with a non-finite row is refused (ValueError).
     """
     if k < 1:
         raise ValueError(f"rank: k must be >= 1, got {k}")
@@ -234,10 +329,9 @@ def rank(
         )
     if not isinstance(index, DocumentIndex):
         index = DocumentIndex(index)
-    scores = index.scores(query_rows(q, flags), flags)
-    top = index.top(scores, k)
+    top, scores = index.top(query_rows(q, flags), k, flags)
     page_ids = index.page_ids
-    return Ranking(query_id=q.query_id, doc_ids=[page_ids[i] for i in top], scores=scores[top].tolist())
+    return Ranking(query_id=q.query_id, doc_ids=[page_ids[i] for i in top], scores=scores.tolist())
 
 
 def pool_patches(patches: np.ndarray, mode: str) -> np.ndarray:

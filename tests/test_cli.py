@@ -3,6 +3,8 @@
 import json
 import re
 import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -151,6 +153,20 @@ class TestIndex:
         assert not out.exists()
 
 
+    def test_page_id_the_index_cannot_store_exits_2(self, ws, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        lines = ws["corpus"].read_text().splitlines()
+        page = json.loads(lines[1])
+        page["page_id"] = -7
+        lines[1] = json.dumps(page)
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never.idx"
+        args = _args(ws, "index", "--checkpoint", str(ws["ckpt"]), "--corpus", str(corpus), "--out", str(out))
+        assert main(args) == 2
+        assert "page record with page_id -7" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSearch:
     def test_prints_ranked_pages(self, ws, capsys):
         capsys.readouterr()
@@ -167,6 +183,27 @@ class TestSearch:
                      "--query", "64", "-k", "500")
         assert main(args) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 40
+
+    def test_every_k_prints_the_full_ranking_prefix_under_every_row_flag(self, ws, capsys):
+        for drop in ([], ["--no-patches"], ["--no-doc-global"], ["--no-query-global"],
+                     ["--no-query-global", "--no-patches"], ["--no-query-global", "--no-doc-global"]):
+            base = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
+                         "--query", "64,65,66", *drop)
+            capsys.readouterr()
+            assert main([*base, "-k", "40"]) == 0
+            full = capsys.readouterr().out.splitlines()
+            for k in (1, 5, 39):
+                assert main([*base, "-k", str(k)]) == 0
+                assert capsys.readouterr().out.splitlines() == full[:k]
+
+    def test_index_with_a_non_finite_row_exits_3(self, ws, tmp_path, capsys):
+        blob = bytearray(ws["index"].read_bytes()[:-4])
+        blob[16 + 12 : 16 + 20] = struct.pack("<d", float("nan"))  # the first page's first patch value
+        bad = tmp_path / "nan.idx"
+        bad.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
+        args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(bad), "--query", "64")
+        assert main(args) == 3
+        assert "non-finite row" in capsys.readouterr().err
 
     def test_dropping_every_row_kind_is_an_error(self, ws, capsys):
         args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),

@@ -427,3 +427,15 @@ class TestSerialization:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ConfigurationError, match=r"corpus\.jsonl: " + message):
                 load_corpus(path)
+
+    @pytest.mark.parametrize("page_id", [-7, 2**64, 1.0, "3", True, None])
+    def test_page_id_the_index_cannot_store_is_rejected(self, small_corpus, tmp_path, page_id):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(small_corpus, path)
+        lines = path.read_text().splitlines()
+        page = json.loads(lines[1])
+        page["page_id"] = page_id
+        lines[1] = json.dumps(page)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=r"page record with page_id .*integer in \[0, 2\*\*64\)"):
+            load_corpus(path)

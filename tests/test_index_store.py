@@ -93,6 +93,13 @@ class TestWriteValidation:
         with pytest.raises(ValueError, match="dimension mismatch"):
             write_index(docs, tmp_path / "x.idx")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, tmp_path, bad):
+        docs = _random_docs()
+        docs[3].patches[0, 0] = bad
+        with pytest.raises(ValueError, match="page 103 patches: 1 rows are not unit-norm"):
+            write_index(docs, tmp_path / "x.idx")
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         docs = _random_docs()
         docs[0].patches[0] *= 2.0
@@ -139,6 +146,13 @@ class TestReadValidation:
         payload = index_path.read_bytes()[:-4]
         index_path.write_bytes(_resign(payload + b"\x00" * 8))
         with pytest.raises(IntegrityError, match="trailing"):
+            read_index(index_path)
+
+    def test_non_finite_row_is_an_integrity_error_naming_the_page(self, index_path):
+        blob = bytearray(index_path.read_bytes()[:-4])
+        struct.pack_into("<d", blob, 16 + 12, np.nan)  # the first page's first patch value
+        index_path.write_bytes(_resign(bytes(blob)))
+        with pytest.raises(IntegrityError, match="page 100 has a non-finite row"):
             read_index(index_path)
 
     def test_too_short_file(self, tmp_path):

@@ -11,6 +11,7 @@ from glint.scoring import (
     DocumentIndex,
     Ranking,
     ScoringFlags,
+    bound_error,
     maxsim,
     maxsim_score,
     pool_patches,
@@ -311,12 +312,126 @@ class TestTileBoundaries:
 class TestTop:
     def test_partial_selection_equals_the_full_sort_for_every_k(self):
         rng = np.random.default_rng(48)
-        index = DocumentIndex(_mixed_docs(rng, n=40))
-        scores = rng.integers(0, 6, size=40).astype(float)  # many exact ties
-        scores[[3, 17, 25]] = scores[5] = 7.0  # a tie at the top straddles k = 1..3
+        docs = _mixed_docs(rng, n=40)
+        q = _random_pair(rng)[0]
+        best = max(docs, key=lambda d: (maxsim_score(q, d), -d.page_id))
+        # Exact ties planted as duplicated pages: the best page three more
+        # times (a tie at the top straddles k = 1..4) and ten others once each.
+        dups = [_doc(best.patches, best.global_vec, pid=900 + j) for j in range(3)]
+        dups += [_doc(d.patches, d.global_vec, pid=1000 + j) for j, d in enumerate(docs[::4])]
+        index = DocumentIndex([docs[j] if j < len(docs) else dups[j - len(docs)]
+                               for j in rng.permutation(len(docs) + len(dups))])
+        for flags in FLAG_ROWS:
+            q_rows = query_rows(q, flags)
+            scores = index.scores(q_rows, flags)
+            full = np.lexsort((np.asarray(index.page_ids), -scores))
+            for k in range(1, len(index) + 5):
+                top, top_scores = index.top(q_rows, k, flags)
+                np.testing.assert_array_equal(top, full[:k])
+                assert top_scores.tobytes() == scores[full[:k]].tobytes()
+
+
+def _near_tie_docs(rng, hub, deltas, first_pid):
+    """Copies of hub with every row moved by about delta and renormalized."""
+    out = []
+    for j, delta in enumerate(deltas):
+        patches = normalize_rows(hub.patches + delta * rng.normal(size=hub.patches.shape))
+        global_vec = normalize_rows((hub.global_vec + delta * rng.normal(size=hub.global_vec.shape))[None])[0]
+        out.append(_doc(patches, global_vec, pid=first_pid + j))
+    return out
+
+
+class TestBoundPass:
+    """top() below the index size: float32 candidates, exact float64 scores."""
+
+    def test_rank_equals_the_full_exact_sort_for_every_k(self):
+        rng = np.random.default_rng(60)
+        reorders = 0
+        for trial in range(3):
+            docs = _mixed_docs(rng, n=150, d=16)  # 1..5 patch rows: five blocks, some over one tile
+            hub = docs[int(rng.integers(len(docs)))]
+            near = _near_tie_docs(rng, hub, [1e-9, 1e-8, 1e-7, 1e-6] * 3, first_pid=2000)
+            dups = [_doc(d.patches, d.global_vec, pid=3000 + j) for j, d in enumerate([hub, hub] + docs[:20])]
+            pool = docs + near + dups
+            index = DocumentIndex([pool[j] for j in rng.permutation(len(pool))])
+            ids = np.asarray(index.page_ids)
+            for flags in FLAG_ROWS:
+                # Query rows near the hub's rows put the near-ties at the top.
+                hub_rows = _active_doc_rows(hub, flags)
+                tokens = normalize_rows(hub_rows[rng.integers(len(hub_rows), size=6)] + 0.05 * rng.normal(size=(6, 16)))
+                q = _query(tokens, normalize_rows(rng.normal(size=(1, 16)))[0], qid=trial)
+                q_rows = query_rows(q, flags)
+                scores = index.scores(q_rows, flags)
+                approx = index.approx_scores(q_rows, flags)
+                full = np.lexsort((ids, -scores))
+                reorders += int(np.any(np.lexsort((ids, -approx)) != full))
+                for k in range(1, len(index) + 5):
+                    out = rank(q, index, k=k, flags=flags)
+                    assert out.doc_ids == [index.page_ids[i] for i in full[:k]]
+                    assert np.asarray(out.scores).tobytes() == scores[full[:k]].tobytes()
+        assert reorders > 0  # the float32 pass does misorder near-ties
+
+    def test_approx_is_within_the_bound(self):
+        rng = np.random.default_rng(61)
+        u = 2.0**-24
+        for l_q in (1, 2, 9, EncoderConfig().max_seq, EncoderConfig().max_seq + 1):
+            for dim in (4, 32):
+                # Rows that are not unit-norm, some long, some short.
+                docs = [
+                    _doc(rng.normal(size=(n, dim)) * rng.uniform(0.01, 30, size=(n, 1)),
+                         rng.normal(size=dim) * rng.uniform(0.01, 30), pid=j)
+                    for j, n in enumerate(rng.integers(1, 6, size=90))
+                ]
+                index = DocumentIndex(docs)
+                d_max = max(np.linalg.norm(_active_doc_rows(d, ALL_ROWS), axis=1).max() for d in docs)
+                np.testing.assert_allclose(index.norm_max, d_max, rtol=1e-12)
+                for flags in FLAG_ROWS[::2]:
+                    q_rows = rng.normal(size=(l_q, dim)) * rng.uniform(0.01, 30, size=(l_q, 1))
+                    eps = bound_error(q_rows, index.norm_max)
+                    scale = np.linalg.norm(q_rows, axis=1).max() * index.norm_max
+                    gamma = dim * u / (1 - dim * u)
+                    assert eps >= l_q * scale * ((1 + u) ** 2 * gamma + 2 * u + u * u) + l_q * 1e-12
+                    gap = np.abs(index.approx_scores(q_rows, flags) - index.scores(q_rows, flags))
+                    assert gap.max() <= eps
+                    assert gap.max() > 0  # float32 rows, not the exact scores
+
+    def test_rows_beyond_float32_range_take_the_full_scan(self):
+        rng = np.random.default_rng(62)
+        docs = [_random_pair(rng, pid=j)[1] for j in range(70)]
+        for d in docs:
+            d.patches = d.patches * 1e20
+            d.global_vec = d.global_vec * 1e20
+        index = DocumentIndex(docs)
+        q_rows = query_rows(_random_pair(rng)[0]) * 1e20
+        assert bound_error(q_rows, index.norm_max) == np.inf
+        scores = index.scores(q_rows)
         full = np.lexsort((np.asarray(index.page_ids), -scores))
-        for k in range(1, 45):
-            np.testing.assert_array_equal(index.top(scores, k), full[:k])
+        top, top_scores = index.top(q_rows, 5)
+        np.testing.assert_array_equal(top, full[:5])
+        np.testing.assert_array_equal(top_scores, scores[full[:5]])
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_index_refuses_a_non_finite_row_naming_the_page(self, bad):
+        rng = np.random.default_rng(63)
+        docs = _mixed_docs(rng, n=12)
+        docs[7].patches[0, 1] = bad
+        with pytest.raises(ValueError, match=f"page {docs[7].page_id} has a non-finite row"):
+            DocumentIndex(docs)
+        docs[7].patches[0, 1] = 0.0
+        docs[7].global_vec[2] = bad
+        with pytest.raises(ValueError, match=f"page {docs[7].page_id} has a non-finite row"):
+            DocumentIndex(docs)
+
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_rank_refuses_a_non_finite_query_row(self, k):
+        rng = np.random.default_rng(64)
+        index = DocumentIndex(_mixed_docs(rng, n=12))
+        q = _random_pair(rng)[0]
+        q.tokens[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rank(q, index, k=k)
 
 
 class TestPoolPatches:
