@@ -96,6 +96,8 @@ def read_index(path) -> DocumentIndex:
         if off + 12 > len(payload):
             raise IntegrityError(f"{path}: truncated document record")
         page_id, n_rows = struct.unpack_from("<QI", payload, off)
+        if n_rows == 0:
+            raise IntegrityError(f"{path}: page {page_id} has no patch rows")
         off += 12
         need = (n_rows + 1) * d * 8
         if off + need > len(payload):

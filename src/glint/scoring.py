@@ -17,9 +17,13 @@ depend on which other documents share its tiles. The row maxima are then
 taken elementwise over contiguous 64-wide slabs, and the query rows are added
 strictly one after another, never in an order numpy picks from the array's
 shape. So pairwise, ranked and training-grid scores are bit-identical by
-construction. The width is fixed, not a setting: a block of n documents
-scores ceil(n / 64) * 64 slots, so a block of a few documents (say, one per
-cross-context row count) pays for a whole tile.
+construction. The width is fixed, not a setting: n documents score
+ceil(n / 64) * 64 slots.
+
+Documents with fewer rows than their stack (cross-context rows vary with the
+descriptor) are padded by `pad_rows`, which repeats their last row. A repeated
+row changes no maximum, and np.argmax takes the first row equal to the
+maximum, so the padding changes no score, argmax or gradient.
 
 Ranking the top k of an index below its size (`search`) first scores every
 document from a float32 copy of the tiles, which is cheaper and within a
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +83,17 @@ def query_rows(q: QueryEmbedding, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
 _TILE = 64
 
 
+def pad_rows(dst: np.ndarray, rows: np.ndarray) -> None:
+    """Copy a document's rows into the first rows of dst and fill the rest of
+    dst with copies of its last row. This is how every stack of documents
+    with unequal row counts is laid out. A maximum over rows is unchanged by
+    a repeated row, and np.argmax takes the first row equal to the maximum,
+    which is never a copy, so scores, argmaxes and gradients are those of the
+    document's own rows."""
+    dst[: len(rows)] = rows
+    dst[len(rows) :] = rows[-1]
+
+
 def _tile(d_rows: np.ndarray) -> np.ndarray:
     """Copy an (n, R, d) stack into zero-padded (ceil(n / _TILE), R, _TILE, d) tiles."""
     n, n_rows, dim = d_rows.shape
@@ -104,7 +120,7 @@ def _row_sum(best: np.ndarray) -> np.ndarray:
 
 def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MaxSim of one query, or a stack of equally long queries, against a
-    stack of documents with equal row counts.
+    stack of documents, those with fewer rows padded by pad_rows.
 
     q_rows is (L_q, d) or (n_q, L_q, d) and d_rows is (n_d, L_d, d). Returns
     the scores, shape (n_d,) or (n_q, n_d), and per query, document and
@@ -165,55 +181,45 @@ def bound_error(q_rows: np.ndarray, d_norm_max: float) -> float:
 class DocumentIndex(Sequence[DocumentEmbedding]):
     """Immutable document set stored for the MaxSim kernel.
 
-    Holds one read-only (n_tiles, L + 1, _TILE, d) tiles array per distinct
-    patch count L: the documents of that count in the order given, 64 to a
-    tile, zero-padded to a whole tile, each with its patches first and its
-    global row last. Document c of tile t is the view `tiles[t, :-1, c]`
-    (patches) and `tiles[t, -1, c]` (global row), and a flag setting is a
-    slice of the row axis. Scoring a block of n documents costs
-    ceil(n / 64) * 64 slots, whatever n.
+    Holds one read-only (n_tiles, R + 1, _TILE, d) tiles array, R being the
+    largest patch count: the documents in the order given, 64 to a tile,
+    zero-padded to a whole tile, each with its patches first, padded to R by
+    pad_rows, and its global row last. Document j, with t, c = divmod(j, 64),
+    is the view `tiles[t, :L, c]` (its own L patches) and `tiles[t, -1, c]`
+    (global row), and a flag setting is a slice of the row axis. Scoring
+    costs ceil(n / 64) * 64 slots of R + 1 rows.
 
-    Each block also keeps a read-only float32 copy of its tiles (half their
-    bytes), which only top() reads, to pick the candidates it scores
-    exactly; and the index keeps its largest row norm, for the bound on that
-    pass. Every row must be finite.
+    top() with k below the index size also reads a read-only float32 copy of
+    the tiles (half their bytes), to pick the candidates it scores exactly,
+    and the largest row norm, for the bound on that pass; both are built on
+    first use. Every row must be finite.
     """
 
     def __init__(self, docs: Iterable[DocumentEmbedding]):
         docs = list(docs)
-        groups: dict[int, list[int]] = {}
-        for pos, doc in enumerate(docs):
-            groups.setdefault(doc.patches.shape[0], []).append(pos)
         dim = docs[0].global_vec.shape[0] if docs else 0
+        n_rows = max((doc.patches.shape[0] for doc in docs), default=0)
         self._page_ids = tuple(doc.page_id for doc in docs)
         self._id_keys = np.asarray(self._page_ids)
-        self._docs: list[DocumentEmbedding | None] = [None] * len(docs)
-        self._blocks = []
-        self._norm_max = 0.0
-        for n_rows, positions in groups.items():
-            tiles = np.zeros((-(-len(positions) // _TILE), n_rows + 1, _TILE, dim), dtype=np.float64)
-            for slot, pos in enumerate(positions):
-                if docs[pos].global_vec.shape[0] != dim:
-                    raise DimensionMismatchError(
-                        f"DocumentIndex: page {docs[pos].page_id} has d={docs[pos].global_vec.shape[0]}, "
-                        f"expected {dim}"
-                    )
-                t, c = divmod(slot, _TILE)
-                tiles[t, :-1, c] = docs[pos].patches
-                tiles[t, -1, c] = docs[pos].global_vec
-            if not np.isfinite(tiles).all():
-                bad = positions[np.argmin(np.isfinite(tiles).all(axis=(1, 3)).reshape(-1))]
-                raise ValueError(f"DocumentIndex: page {self._page_ids[bad]} has a non-finite row")
-            tiles.flags.writeable = False
-            tiles32 = tiles.astype(np.float32)
-            tiles32.flags.writeable = False
-            self._norm_max = max(self._norm_max, float(np.sqrt(np.max(np.einsum("trcd,trcd->trc", tiles, tiles)))))
-            for slot, pos in enumerate(positions):
-                t, c = divmod(slot, _TILE)
-                self._docs[pos] = DocumentEmbedding(
-                    patches=tiles[t, :-1, c], global_vec=tiles[t, -1, c], page_id=self._page_ids[pos]
+        self._tiles = tiles = np.zeros((-(-len(docs) // _TILE), n_rows + 1, _TILE, dim), dtype=np.float64)
+        for j, doc in enumerate(docs):
+            if doc.global_vec.shape[0] != dim:
+                raise DimensionMismatchError(
+                    f"DocumentIndex: page {doc.page_id} has d={doc.global_vec.shape[0]}, expected {dim}"
                 )
-            self._blocks.append((np.asarray(positions, dtype=np.intp), tiles, tiles32))
+            t, c = divmod(j, _TILE)
+            pad_rows(tiles[t, :-1, c], doc.patches)
+            tiles[t, -1, c] = doc.global_vec
+        if not np.isfinite(tiles).all():
+            bad = np.argmin(np.isfinite(tiles).all(axis=(1, 3)).reshape(-1))
+            raise ValueError(f"DocumentIndex: page {self._page_ids[bad]} has a non-finite row")
+        tiles.flags.writeable = False
+        self._docs = []
+        for j, doc in enumerate(docs):
+            t, c = divmod(j, _TILE)
+            self._docs.append(
+                DocumentEmbedding(patches=tiles[t, : len(doc.patches), c], global_vec=tiles[t, -1, c], page_id=doc.page_id)
+            )
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -226,36 +232,33 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         """The documents' page ids, in order (the documents' own objects)."""
         return self._page_ids
 
-    @property
+    @cached_property
     def norm_max(self) -> float:
         """The largest norm of any document row."""
-        return self._norm_max
+        return float(np.sqrt(np.max(np.einsum("trcd,trcd->trc", self._tiles, self._tiles), initial=0.0)))
+
+    @cached_property
+    def _tiles32(self) -> np.ndarray:
+        tiles32 = self._tiles.astype(np.float32)
+        tiles32.flags.writeable = False
+        return tiles32
 
     def scores(self, q_rows: np.ndarray, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
         """MaxSim of the query rows against every document, in index order."""
-        rows = _active_rows(flags)
-        out = np.empty(len(self), dtype=np.float64)
-        for positions, tiles, _ in self._blocks:
-            best = np.maximum.reduce(_sims(q_rows, tiles[:, rows]), axis=-3)
-            out[positions] = _row_sum(best).reshape(-1)[: len(positions)]
-        return out
+        best = np.maximum.reduce(_sims(q_rows, self._tiles[:, _active_rows(flags)]), axis=-3)
+        return _row_sum(best).reshape(-1)[: len(self)]
 
     def approx_scores(self, q_rows: np.ndarray, flags: ScoringFlags = ALL_ROWS) -> np.ndarray:
         """MaxSim of the query rows against every document, in index order,
         from the float32 rows: one (R * 64, d) @ (d, L_q) product per tile,
         the row maxima over R, then the query rows added in float64. Within
         bound_error(q_rows, norm_max) of scores(), and not bit-stable."""
-        rows = _active_rows(flags)
+        tiles32 = self._tiles32[:, _active_rows(flags)]
+        n_tiles, n_rows = tiles32.shape[:2]
         q32 = np.ascontiguousarray(q_rows.T, dtype=np.float32)
-        ones = np.ones(q32.shape[1])
-        out = np.empty(len(self), dtype=np.float64)
-        for positions, _, tiles32 in self._blocks:
-            block = tiles32[:, rows]
-            n_tiles, n_rows = block.shape[:2]
-            sims = block.reshape(n_tiles, n_rows * _TILE, -1) @ q32
-            best = np.maximum.reduce(sims.reshape(n_tiles, n_rows, -1), axis=1)
-            out[positions] = best.reshape(n_tiles * _TILE, -1)[: len(positions)] @ ones
-        return out
+        sims = tiles32.reshape(n_tiles, n_rows * _TILE, -1) @ q32
+        best = np.maximum.reduce(sims.reshape(n_tiles, n_rows, -1), axis=1)
+        return best.reshape(n_tiles * _TILE, -1)[: len(self)] @ np.ones(q32.shape[1])
 
     def top(self, q_rows: np.ndarray, k: int, flags: ScoringFlags = ALL_ROWS) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the k best documents, descending by score, ties by
@@ -273,23 +276,16 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         if not np.isfinite(q_rows).all():
             raise ValueError("DocumentIndex.top: the query has a non-finite row")
         n = len(self)
-        eps = bound_error(q_rows, self._norm_max) if k < n else np.inf
+        eps = bound_error(q_rows, self.norm_max) if k < n else np.inf
         if eps == np.inf:
             scores = self.scores(q_rows, flags)
             order = np.lexsort((self._id_keys, -scores))[:k]
             return order, scores[order]
         approx = self.approx_scores(q_rows, flags)
-        keep = approx >= np.partition(approx, n - k)[n - k] - 2 * eps
-        rows = _active_rows(flags)
-        found, exact = [], []
-        for positions, tiles, _ in self._blocks:
-            slots = np.flatnonzero(keep[positions])
-            if slots.size:
-                t, c = np.divmod(slots, _TILE)
-                best = np.maximum.reduce(_sims(q_rows, _tile(tiles[t, rows, c])), axis=-3)
-                found.append(positions[slots])
-                exact.append(_row_sum(best).reshape(-1)[: slots.size])
-        found, exact = np.concatenate(found), np.concatenate(exact)
+        found = np.flatnonzero(approx >= np.partition(approx, n - k)[n - k] - 2 * eps)
+        t, c = np.divmod(found, _TILE)
+        best = np.maximum.reduce(_sims(q_rows, _tile(self._tiles[t, _active_rows(flags), c])), axis=-3)
+        exact = _row_sum(best).reshape(-1)[: found.size]
         order = np.lexsort((self._id_keys[found], -exact))[:k]
         return found[order], exact[order]
 

@@ -32,7 +32,7 @@ from .losses import (
     retrieval_infonce,
     scale_loss,
 )
-from .scoring import maxsim
+from .scoring import maxsim, pad_rows
 
 
 @dataclass
@@ -171,14 +171,18 @@ class _Stream:
 
 @dataclass
 class _BatchForward:
-    """Everything the backward pass and the grad checker need from one batch."""
+    """Everything the backward pass and the grad checker need from one batch.
+
+    doc_stack holds every document's MaxSim rows, padded by pad_rows to the
+    longest, so one maxsim call per query stack scores the whole grid.
+    """
 
     q: _Stream
     d: _Stream
     g: _Stream | None  # descriptors, when a loss needs them
-    doc_stacks: list[tuple[list[int], np.ndarray]]  # MaxSim document rows (incl. cross-context) by count
+    doc_stack: np.ndarray  # (b, R, d) MaxSim document rows (incl. cross-context), padded by pad_rows
     scores: np.ndarray
-    pair_args: list[list[np.ndarray]]  # [s][t]: (n_q, n_d, L_q) argmax of query stack t vs doc_stacks[s]
+    pair_args: list[np.ndarray]  # [t]: (n_q, b, L_q) argmax of query stack t vs doc_stack
     parts: dict[str, LossValue | None]
     value: float
     signature: tuple
@@ -194,24 +198,19 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     if cfg.needs_descriptors():
         g = _Stream(encoder.forward_tokens, [s.descriptor_tokens for s in batch])
 
-    # Documents with equal row counts (all of them, unless cross-context rows
-    # vary) share one stack; one MaxSim call per (document stack, query stack)
-    # pair.
+    # Every document in one stack, as long as the longest (cross-context rows
+    # vary); one MaxSim call per query stack.
     sig_parts = []
     d_rows = [np.vstack([y, g.out[j][:-1]]) for j, y in enumerate(d.out)] if cfg.cross_context else d.out
-    by_rows: dict[int, list[int]] = {}
-    for j, rows in enumerate(d_rows):
-        by_rows.setdefault(rows.shape[0], []).append(j)
-    doc_stacks = [(js, np.stack([d_rows[j] for j in js])) for js in by_rows.values()]
+    doc_stack = np.empty((b, max(len(rows) for rows in d_rows), d_rows[0].shape[1]))
+    for dst, rows in zip(doc_stack, d_rows):
+        pad_rows(dst, rows)
     scores = np.empty((b, b), dtype=np.float64)
     pair_args = []
-    for js, stack in doc_stacks:
-        stack_args = []
-        for idx, y in zip(q.idx, q.ys):
-            scores[np.ix_(idx, js)], arg = maxsim(y, stack)
-            stack_args.append(arg)
-            sig_parts.append(arg.tobytes())
-        pair_args.append(stack_args)
+    for idx, y in zip(q.idx, q.ys):
+        scores[idx], arg = maxsim(y, doc_stack)
+        pair_args.append(arg)
+        sig_parts.append(arg.tobytes())
     retrieval_part = retrieval_infonce(scores, cfg.tau)
 
     global_part = None
@@ -235,36 +234,35 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     parts = {"global": global_part, "local": local_part, "retrieval": retrieval_part}
     value = sum(p.value for p in parts.values() if p is not None)
     return _BatchForward(
-        q=q, d=d, g=g, doc_stacks=doc_stacks, scores=scores, pair_args=pair_args,
+        q=q, d=d, g=g, doc_stack=doc_stack, scores=scores, pair_args=pair_args,
         parts=parts, value=value, signature=tuple(sig_parts), local_values=local_values,
     )
 
 
-def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> list[np.ndarray]:
+def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> np.ndarray:
     """Route d(loss)/d(scores) = w back through the MaxSim argmax.
 
     Adds d(loss)/d(query rows) into the query stream's gradient arrays and
-    returns d(loss)/d(document rows), one array per MaxSim document stack.
-    Each query row receives the document rows it matched, weighted by w; each
-    matched document row receives the weighted query row. One gather and one
-    scatter-add per (document stack, query stack) pair.
+    returns d(loss)/d(document rows), shaped like the document stack. Each
+    query row receives the document rows it matched, weighted by w; each
+    matched document row receives the weighted query row. No argmax lands on
+    a padded row, so their gradient stays zero. One gather and one
+    scatter-add per query stack.
     """
-    d_docs = []
-    for (js, stack), stack_args in zip(fwd.doc_stacks, fwd.pair_args):
-        n_d, L_d, dim = stack.shape
-        doc = np.arange(n_d)[:, None]
-        d_doc = np.zeros_like(stack)
-        for idx, y, d_y, arg in zip(fwd.q.idx, fwd.q.ys, fwd.q.grads, stack_args):
-            n_q, L_q = y.shape[:2]
-            wq = w[np.ix_(idx, js)]  # (n_q, n_d)
-            matched = stack[doc, arg].reshape(n_q, n_d, L_q * dim)
-            d_y += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
-            # Scalar positions in the flattened stack: numpy's add.at is several
-            # times faster on 1-D indices and values than on rows.
-            pos = (((doc * L_d + arg) * dim)[..., None] + np.arange(dim)).ravel()
-            np.add.at(d_doc.reshape(-1), pos, (wq[:, :, None, None] * y[:, None]).ravel())
-        d_docs.append(d_doc)
-    return d_docs
+    stack = fwd.doc_stack
+    n_d, L_d, dim = stack.shape
+    doc = np.arange(n_d)[:, None]
+    d_doc = np.zeros_like(stack)
+    for idx, y, d_y, arg in zip(fwd.q.idx, fwd.q.ys, fwd.q.grads, fwd.pair_args):
+        n_q, L_q = y.shape[:2]
+        wq = w[idx]  # (n_q, n_d)
+        matched = stack[doc, arg].reshape(n_q, n_d, L_q * dim)
+        d_y += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
+        # Scalar positions in the flattened stack: numpy's add.at is several
+        # times faster on 1-D indices and values than on rows.
+        pos = (((doc * L_d + arg) * dim)[..., None] + np.arange(dim)).ravel()
+        np.add.at(d_doc.reshape(-1), pos, (wq[:, :, None, None] * y[:, None]).ravel())
+    return d_doc
 
 
 def _backward_batch(
@@ -275,13 +273,12 @@ def _backward_batch(
     grads: dict[str, np.ndarray],
 ) -> None:
     d_page = fwd.d.grad
-    d_docs = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
-    for (js, _), d_doc in zip(fwd.doc_stacks, d_docs):
-        for k, j in enumerate(js):
-            n_doc = fwd.d.out[j].shape[0]
-            d_page[j] += d_doc[k, :n_doc]
-            if cfg.cross_context:
-                fwd.g.grad[j][:-1] += d_doc[k, n_doc:]
+    d_doc = _route_retrieval(fwd, fwd.parts["retrieval"].gradients["scores"])
+    for j, page in enumerate(d_page):
+        page += d_doc[j, : len(page)]
+        if cfg.cross_context:
+            tokens = fwd.g.grad[j][:-1]
+            tokens += d_doc[j, len(page) : len(page) + len(tokens)]
 
     if cfg.enable_global:
         gpart = fwd.parts["global"]

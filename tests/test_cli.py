@@ -205,6 +205,16 @@ class TestSearch:
         assert main(args) == 3
         assert "non-finite row" in capsys.readouterr().err
 
+    def test_index_record_without_patch_rows_exits_3(self, ws, tmp_path, capsys):
+        d = small_encoder_config().retrieval_dim
+        blob = b"LIGT" + struct.pack("<III", 1, d, 1) + struct.pack("<QI", 0, 0)
+        blob += np.eye(d)[0].astype("<f8").tobytes()  # the global row only
+        bad = tmp_path / "no_patches.idx"
+        bad.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(bad), "--query", "64")
+        assert main(args) == 3
+        assert "page 0 has no patch rows" in capsys.readouterr().err
+
     def test_dropping_every_row_kind_is_an_error(self, ws, capsys):
         args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
                      "--query", "64", "--no-patches", "--no-doc-global")

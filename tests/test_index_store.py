@@ -49,25 +49,28 @@ class TestRoundTrip:
         assert p3.read_bytes() == p1.read_bytes()
 
     def test_documents_are_views_into_contiguous_blocks(self, tmp_path):
-        docs = _random_docs(n=12)
+        docs = _random_docs(n=70)
         path = tmp_path / "pages.idx"
         write_index(docs, path)
         loaded = read_index(path)
         assert isinstance(loaded, DocumentIndex)
-        owners: dict[int, set[int]] = {}
-        for doc in loaded:
-            owner = doc.patches.base
-            assert owner is doc.global_vec.base and owner.flags.c_contiguous
-            assert not doc.patches.flags.writeable and not owner.flags.writeable
-            # One (n_tiles, patches + 1, _TILE, d) tiles array per patch count:
-            # a document's rows run down the row axis, its global row last.
-            n_rows, dim = doc.patches.shape
-            assert owner.shape[1:] == (n_rows + 1, _TILE, dim)
+        # One (n_tiles, R + 1, _TILE, d) tiles array for the index, R being
+        # the largest patch count: a document's rows run down the row axis,
+        # padded to R with copies of its last patch row, its global row last.
+        owner = loaded[0].patches.base
+        counts = [len(doc.patches) for doc in docs]
+        assert len(set(counts)) > 1
+        assert owner.shape == (2, max(counts) + 1, _TILE, 8)
+        assert owner.flags.c_contiguous and not owner.flags.writeable
+        for j, doc in enumerate(loaded):
+            t, c = divmod(j, _TILE)
+            assert doc.patches.base is owner and doc.global_vec.base is owner
+            assert not doc.patches.flags.writeable
+            assert doc.patches.shape == docs[j].patches.shape
             assert doc.patches.strides == owner.strides[1::2]
-            start = doc.patches.__array_interface__["data"][0]
-            assert doc.global_vec.__array_interface__["data"][0] == start + n_rows * owner.strides[1]
-            owners.setdefault(n_rows, set()).add(id(owner))
-        assert len(owners) > 1 and all(len(ids) == 1 for ids in owners.values())
+            assert doc.patches.__array_interface__["data"][0] == owner[t, 0, c].__array_interface__["data"][0]
+            assert doc.global_vec.__array_interface__["data"][0] == owner[t, -1, c].__array_interface__["data"][0]
+            assert (owner[t, counts[j] : -1, c] == docs[j].patches[-1]).all()
 
     def test_empty_index(self, tmp_path):
         path = tmp_path / "empty.idx"
@@ -154,6 +157,15 @@ class TestReadValidation:
         index_path.write_bytes(_resign(bytes(blob)))
         with pytest.raises(IntegrityError, match="page 100 has a non-finite row"):
             read_index(index_path)
+
+    def test_record_without_patch_rows_is_an_integrity_error(self, tmp_path):
+        d = 8
+        blob = INDEX_MAGIC + struct.pack("<III", 1, d, 1) + struct.pack("<QI", 7, 0)
+        blob += np.eye(d)[0].astype("<f8").tobytes()  # the global row only
+        path = tmp_path / "no_patches.idx"
+        path.write_bytes(_resign(blob))
+        with pytest.raises(IntegrityError, match="page 7 has no patch rows"):
+            read_index(path)
 
     def test_too_short_file(self, tmp_path):
         path = tmp_path / "stub.idx"

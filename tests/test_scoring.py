@@ -14,6 +14,7 @@ from glint.scoring import (
     bound_error,
     maxsim,
     maxsim_score,
+    pad_rows,
     pool_patches,
     query_rows,
     rank,
@@ -297,6 +298,30 @@ class TestTileBoundaries:
                 assert in_index[j] == in_stack[j] == alone[0] == maxsim_score(q, d, flags)
                 np.testing.assert_array_equal(arg[j], alone_arg[0])
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_mixed_row_counts_score_as_their_own_rows_at_every_tile_column(self, n):
+        rng = np.random.default_rng(50 + n)
+        docs = _mixed_docs(rng, n=n, d=16)
+        index = DocumentIndex(docs)
+        for flags in FLAG_ROWS:
+            q_rows = query_rows(_random_pair(rng, d=16, lq=7)[0], flags)
+            own = [_active_doc_rows(d, flags) for d in docs]
+            stack = np.empty((n, max(len(rows) for rows in own), 16))
+            for dst, rows in zip(stack, own):
+                pad_rows(dst, rows)
+            in_index = index.scores(q_rows, flags)
+            in_stack, arg = maxsim(q_rows, stack)
+            for j, rows in enumerate(own):
+                alone, alone_arg = maxsim(q_rows, rows[None])
+                assert in_index[j] == in_stack[j] == alone[0]
+                np.testing.assert_array_equal(arg[j], alone_arg[0])
+                assert (arg[j] < len(rows)).all()
+            full = np.lexsort((np.asarray(index.page_ids), -in_index))
+            for k in {1, 5, n}:
+                top, top_scores = index.top(q_rows, k, flags)
+                np.testing.assert_array_equal(top, full[:k])
+                assert top_scores.tobytes() == in_index[full[:k]].tobytes()
+
     def test_search_shape_matches_the_naive_loop_at_every_query_length(self):
         rng = np.random.default_rng(47)
         docs = [_random_pair(rng, d=32, ld=16, pid=j)[1] for j in range(65)]
@@ -394,6 +419,18 @@ class TestBoundPass:
                     gap = np.abs(index.approx_scores(q_rows, flags) - index.scores(q_rows, flags))
                     assert gap.max() <= eps
                     assert gap.max() > 0  # float32 rows, not the exact scores
+
+    def test_the_float32_copy_is_built_by_the_first_partial_top(self):
+        rng = np.random.default_rng(65)
+        index = DocumentIndex(_mixed_docs(rng, n=70))
+        q_rows = query_rows(_random_pair(rng)[0])
+        index.scores(q_rows)
+        index.top(q_rows, len(index))  # the full scan evaluation takes
+        assert "_tiles32" not in vars(index) and "norm_max" not in vars(index)
+        index.top(q_rows, 5)
+        tiles32 = vars(index)["_tiles32"]
+        assert "norm_max" in vars(index) and not tiles32.flags.writeable
+        np.testing.assert_array_equal(tiles32, index._tiles.astype(np.float32))
 
     def test_rows_beyond_float32_range_take_the_full_scan(self):
         rng = np.random.default_rng(62)

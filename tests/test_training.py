@@ -178,26 +178,35 @@ class TestTrainLoop:
         assert len(parsed["epochs"]) == 1
 
 
-def _pair_layout(fwd):
-    """Per-sample document rows and per-pair argmax, read from the stacks."""
+def _pair_layout(fwd, cross_context):
+    """Per-sample document rows, unpadded, and per-pair argmax, read from the
+    one document stack; checks that the stack pads each document with copies
+    of its own last row."""
     d_rows, argmax = {}, {}
-    for (js, stack), stack_args in zip(fwd.doc_stacks, fwd.pair_args):
-        for k, j in enumerate(js):
-            d_rows[j] = stack[k]
-        for idx, arg in zip(fwd.q.idx, stack_args):
-            for a, i in enumerate(idx):
-                for k, j in enumerate(js):
-                    argmax[i, j] = arg[a, k]
+    for j, y in enumerate(fwd.d.out):
+        rows = np.vstack([y, fwd.g.out[j][:-1]]) if cross_context else y
+        np.testing.assert_array_equal(fwd.doc_stack[j, : len(rows)], rows)
+        assert (fwd.doc_stack[j, len(rows) :] == rows[-1]).all()
+        d_rows[j] = rows
+    for idx, arg in zip(fwd.q.idx, fwd.pair_args):
+        for a, i in enumerate(idx):
+            for j in d_rows:
+                argmax[i, j] = arg[a, j]
     return d_rows, argmax
 
 
-def _assert_grid_matches_pair_loop(fwd, b):
-    d_rows, argmax = _pair_layout(fwd)
+def _assert_grid_matches_pair_loop(fwd, b, cross_context):
+    d_rows, argmax = _pair_layout(fwd, cross_context)
     for i in range(b):
         for j in range(b):
             score, arg = maxsim(fwd.q.out[i], d_rows[j][None])  # the pair scored alone
             assert fwd.scores[i, j] == score[0]
             np.testing.assert_array_equal(argmax[i, j], arg[0])
+            assert (argmax[i, j] < len(d_rows[j])).all()
+
+
+def _mixes_row_counts(fwd, cross_context):
+    return len({len(rows) for rows in _pair_layout(fwd, cross_context)[0].values()}) > 1
 
 
 class TestScoreGrid:
@@ -207,9 +216,9 @@ class TestScoreGrid:
         tcfg = TrainerConfig(tau=0.5, seed=0, cross_context=cross_context)
         batch = _tiny_batch(np.random.default_rng(5), cfg, b=6)
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, tcfg)
-        assert len(fwd.doc_stacks) > 1  # several stacks
+        assert _mixes_row_counts(fwd, cross_context)
         assert any(len(idx) > 1 for idx in fwd.q.idx)  # several queries per stack
-        _assert_grid_matches_pair_loop(fwd, 6)
+        _assert_grid_matches_pair_loop(fwd, 6, cross_context)
 
     @pytest.mark.parametrize("cross_context", [False, True])
     def test_corpus_batch_grid_equals_a_per_pair_loop(self, small_corpus, cross_context):
@@ -217,7 +226,7 @@ class TestScoreGrid:
         qids = small_corpus.splits["train"].query_ids[:8]
         batch = _make_samples(small_corpus, qids, need_desc=True)
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), batch, small_trainer_config(cross_context=cross_context))
-        _assert_grid_matches_pair_loop(fwd, 8)
+        _assert_grid_matches_pair_loop(fwd, 8, cross_context)
 
 
 class TestRetrievalRouting:
@@ -227,12 +236,12 @@ class TestRetrievalRouting:
         tcfg = TrainerConfig(tau=0.5, seed=0, cross_context=cross_context)
         b = 6
         fwd = _forward_batch(Encoder(cfg, init_params(cfg)), _tiny_batch(np.random.default_rng(5), cfg, b=b), tcfg)
-        assert len(fwd.doc_stacks) > 1  # several stacks
+        assert _mixes_row_counts(fwd, cross_context)
         assert any(len(idx) > 1 for idx in fwd.q.idx)  # several queries per stack
         w = np.random.default_rng(9).normal(size=(b, b))
         w[0, 1] = w[3, :] = w[:, 4] = 0.0
         # The per-pair loop the stacked routing replaced.
-        d_rows, argmax = _pair_layout(fwd)
+        d_rows, argmax = _pair_layout(fwd, cross_context)
         d_q = [np.zeros_like(y) for y in fwd.q.out]
         d_doc = {j: np.zeros_like(r) for j, r in d_rows.items()}
         for i in range(b):
@@ -242,13 +251,25 @@ class TestRetrievalRouting:
                 arg = argmax[i, j]
                 d_q[i] += w[i, j] * d_rows[j][arg]
                 np.add.at(d_doc[j], arg, w[i, j] * fwd.q.out[i])
-        doc_stacks = _route_retrieval(fwd, w)
+        got = _route_retrieval(fwd, w)
         for i in range(b):
             np.testing.assert_allclose(fwd.q.grad[i], d_q[i], rtol=0, atol=1e-12)
-        for (js, _), got in zip(fwd.doc_stacks, doc_stacks):
-            for k, j in enumerate(js):
-                np.testing.assert_allclose(got[k], d_doc[j], rtol=0, atol=1e-12)
+        for j in range(b):
+            np.testing.assert_allclose(got[j, : len(d_rows[j])], d_doc[j], rtol=0, atol=1e-12)
         assert not d_q[3].any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_padded_rows_get_no_gradient(self, seed):
+        cfg = _tiny_config(seed)
+        tcfg = TrainerConfig(tau=0.5, seed=seed, cross_context=True)
+        b = 6
+        fwd = _forward_batch(Encoder(cfg, init_params(cfg)), _tiny_batch(np.random.default_rng(seed), cfg, b=b), tcfg)
+        d_rows, _ = _pair_layout(fwd, cross_context=True)
+        assert _mixes_row_counts(fwd, cross_context=True)
+        got = _route_retrieval(fwd, np.ones((b, b)))  # every pair routes
+        for j, rows in d_rows.items():
+            assert got[j, : len(rows)].any()
+            assert not got[j, len(rows) :].any()
 
 
 class TestDevNdcg:
