@@ -26,7 +26,6 @@ from .embeddings import DocumentEmbedding, QueryEmbedding
 from .encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigurationError,
-    DegenerateInputError,
     DimensionMismatchError,
     InsufficientDataError,
     IntegrityError,
@@ -54,7 +53,6 @@ __all__ = [
     "ConfigurationError",
     "Corpus",
     "CorpusConfig",
-    "DegenerateInputError",
     "DimensionMismatchError",
     "DocumentEmbedding",
     "DocumentIndex",

@@ -99,7 +99,25 @@ def _load_run_config(args):
     return config
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    from .errors import ConfigurationError
+
+    for flag in ("out", "log", "report_out"):
+        path = getattr(args, flag, None)
+        if path is not None and not path.parent.is_dir():
+            raise ConfigurationError(f"output directory not found for --{flag.replace('_', '-')}: {path}")
+
+
+def _write_report(path: Path, text: str) -> None:
+    from .atomic import write_atomic
+
+    write_atomic(path, text.encode("utf-8"))
+    print(f"wrote {path}")
+
+
 def _dispatch(args) -> int:
+    _check_output_dirs(args)
     config = _load_run_config(args)
 
     if args.command == "gen":
@@ -148,8 +166,7 @@ def _dispatch(args) -> int:
         report = run_eval(config, args.corpus, args.checkpoint, index_path=args.index)
         print(format_report_table([report]))
         if args.report_out is not None:
-            Path(args.report_out).write_text(report.to_delimited(), encoding="utf-8")
-            print(f"wrote {args.report_out}")
+            _write_report(args.report_out, report.to_delimited())
         return 0
 
     if args.command == "ablate":
@@ -158,8 +175,7 @@ def _dispatch(args) -> int:
         report = run_ablate(config, args.corpus, args.checkpoints)
         print(report.to_table())
         if args.report_out is not None:
-            Path(args.report_out).write_text(report.to_delimited(), encoding="utf-8")
-            print(f"wrote {args.report_out}")
+            _write_report(args.report_out, report.to_delimited())
         return 0
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from .atomic import write_atomic
 from .corpus import CorpusConfig
 from .encoder import EncoderConfig
 from .errors import ConfigurationError
@@ -161,7 +162,5 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(config.to_dict(), sort_keys=True, default_flow_style=False),
-        encoding="utf-8",
-    )
+    text = yaml.safe_dump(config.to_dict(), sort_keys=True, default_flow_style=False)
+    write_atomic(path, text.encode("utf-8"))

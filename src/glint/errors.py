@@ -1,7 +1,10 @@
 """Exception and warning types shared across the package.
 
 The CLI maps these onto exit codes: ConfigurationError -> 2,
-IntegrityError -> 3. Everything else is a plain failure.
+IntegrityError -> 3. Everything else is a plain failure. No error type
+guards a zero-norm row: normalization passes one through with a
+DegenerateVectorWarning, and the training losses take the encoder's unit
+rows as given.
 """
 
 
@@ -15,10 +18,6 @@ class IntegrityError(RuntimeError):
 
 class DimensionMismatchError(ValueError):
     """Two vectors/matrices that must agree in shape do not."""
-
-
-class DegenerateInputError(ValueError):
-    """A zero-norm row where a direction is required (training-time cosine)."""
 
 
 class InsufficientDataError(ValueError):

@@ -1,12 +1,14 @@
 """Training objectives with analytic gradients, plus a finite-difference oracle.
 
-Three losses drive training:
+Three losses drive training. Each takes the encoder's rows as given: the
+encoder emits unit rows and its backward pass removes the radial part of every
+row gradient, so a dot product here is the cosine the paper trains on.
 
 * global_infonce  -- contrastive alignment between page-global vectors and
   descriptor-global vectors over a batch (temperature-scaled, in-batch
   negatives, positives on the diagonal).
 * local_align     -- each patch row is pulled toward its best-matching
-  descriptor token row (negated sum of row-max cosines).
+  descriptor token row (negated sum of row-max dot products).
 * retrieval_infonce -- InfoNCE over the in-batch MaxSim score grid.
 
 Every loss returns a LossValue carrying d(loss)/d(input) for each matrix
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import NORM_EPS
-from .errors import ConfigurationError, DegenerateInputError, DimensionMismatchError
+from .embeddings import _check_rows
+from .errors import ConfigurationError, DimensionMismatchError
 
 #: Default temperature for both contrastive losses.
 DEFAULT_TAU = 0.02
@@ -37,30 +39,25 @@ class LossValue:
     tie_rows: tuple[int, ...] = ()
 
 
-def _check_tau(tau: float) -> float:
+def _infonce(grid: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    """InfoNCE over a square grid with positives on the diagonal.
+
+    With logits grid/tau the loss is -(1/B) sum_i (l_ii - log sum_j exp(l_ij));
+    returns (loss, d(loss)/d(grid)).
+    """
     tau = float(tau)
     if not tau > 0:
         raise ConfigurationError(f"temperature must be positive, got {tau}")
-    return tau
-
-
-def _unit_rows(name: str, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a nonempty 2-D matrix with no zero rows; return (mat, norms, unit rows)."""
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise DimensionMismatchError(f"{name}: expected a nonempty 2-D matrix, got shape {mat.shape}")
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if np.any(norms <= NORM_EPS):
-        raise DegenerateInputError(f"{name}: zero-norm row (cosine undefined for training)")
-    return mat, norms, mat / norms
-
-
-def _row_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable per-row softmax; returns (probabilities, per-row log-sum-exp)."""
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 1:
+        raise ConfigurationError(f"InfoNCE: expected a square score matrix, got {grid.shape}")
+    b = grid.shape[0]
+    logits = grid / tau
     m = np.max(logits, axis=1, keepdims=True)
     e = np.exp(logits - m)
     z = np.sum(e, axis=1, keepdims=True)
-    return e / z, (m + np.log(z)).ravel()
+    lse = (m + np.log(z)).ravel()
+    value = float(-np.mean(np.diag(logits) - lse))
+    return value, -(np.eye(b) - e / z) / (b * tau)
 
 
 def global_infonce(
@@ -70,32 +67,19 @@ def global_infonce(
 ) -> LossValue:
     """Contrastive loss between page globals and descriptor globals.
 
-    With s_ij = cos(row i of visual_globals, row j of descriptor_globals)/tau,
-    the loss is -(1/B) sum_i (s_ii - log sum_j exp(s_ij)). Gradients flow into
-    both branches (both pass through the same trainable backbone).
+    InfoNCE over the grid visual_globals @ descriptor_globals.T: on the
+    encoder's unit rows, s_ij is the cosine of page i and descriptor j.
+    Gradients flow into both branches (both pass through the same trainable
+    backbone).
     """
-    tau = _check_tau(tau)
-    gv, gv_norms, gv_unit = _unit_rows("visual_globals", visual_globals)
-    gd, gd_norms, gd_unit = _unit_rows("descriptor_globals", descriptor_globals)
+    gv = _check_rows("visual_globals", visual_globals)
+    gd = _check_rows("descriptor_globals", descriptor_globals)
     if gv.shape != gd.shape:
         raise DimensionMismatchError(f"global_infonce: shapes {gv.shape} vs {gd.shape}")
-    b = gv.shape[0]
-
-    cos_grid = gv_unit @ gd_unit.T
-    logits = cos_grid / tau
-    probs, lse = _row_softmax(logits)
-    value = float(-np.mean(np.diag(logits) - lse))
-
-    # d(loss)/d(logits) = -(1/B) (I - P); chain through 1/tau and the cosine.
-    dlogits = -(np.eye(b) - probs) / b
-    dcos = dlogits / tau
-    row_dots = np.sum(dcos * cos_grid, axis=1, keepdims=True)
-    col_dots = np.sum(dcos * cos_grid, axis=0)[:, None]
-    d_gv = (dcos @ gd_unit - row_dots * gv_unit) / gv_norms
-    d_gd = (dcos.T @ gv_unit - col_dots * gd_unit) / gd_norms
+    value, d_grid = _infonce(gv @ gd.T, tau)
     return LossValue(
         value=value,
-        gradients={"visual_globals": d_gv, "descriptor_globals": d_gd},
+        gradients={"visual_globals": d_grid @ gd, "descriptor_globals": d_grid.T @ gv},
     )
 
 
@@ -104,35 +88,33 @@ def local_align(
     descriptor_tokens: np.ndarray,
     tie_tol: float = 1e-9,
 ) -> LossValue:
-    """Negated sum over patch rows of the max cosine against descriptor tokens.
+    """Negated sum over patch rows of the max dot product against descriptor tokens.
 
-    The gradient flows only through each row's argmax descriptor token; ties
-    resolve to the lowest index (a subgradient) and the tied rows are reported
-    via LossValue.tie_rows so verification can exclude them.
+    On the encoder's unit rows each dot product is a cosine. The gradient flows
+    only through each row's argmax descriptor token; ties resolve to the
+    lowest index (a subgradient) and the tied rows are reported via
+    LossValue.tie_rows so verification can exclude them.
     """
-    pm, p_norms, p_unit = _unit_rows("patches", patches)
-    em, e_norms, e_unit = _unit_rows("descriptor_tokens", descriptor_tokens)
+    pm = _check_rows("patches", patches)
+    em = _check_rows("descriptor_tokens", descriptor_tokens)
     if pm.shape[1] != em.shape[1]:
         raise DimensionMismatchError(f"local_align: dims {pm.shape[1]} vs {em.shape[1]}")
 
-    cos_grid = p_unit @ e_unit.T
-    best = np.argmax(cos_grid, axis=1)
-    best_vals = cos_grid[np.arange(pm.shape[0]), best]
-    value = float(-np.sum(best_vals))
+    grid = pm @ em.T
+    best = np.argmax(grid, axis=1)
+    value = float(-np.sum(grid[np.arange(pm.shape[0]), best]))
 
     ties: list[int] = []
-    if cos_grid.shape[1] > 1:
-        sorted_vals = np.sort(cos_grid, axis=1)
+    if grid.shape[1] > 1:
+        sorted_vals = np.sort(grid, axis=1)
         margins = sorted_vals[:, -1] - sorted_vals[:, -2]
         ties = [int(k) for k in np.nonzero(margins < tie_tol)[0]]
 
-    c = best_vals[:, None]
-    d_p = -(e_unit[best] - c * p_unit) / p_norms
     d_e = np.zeros_like(em)
-    np.add.at(d_e, best, -(p_unit - c * e_unit[best]) / e_norms[best])  # in patch-row order
+    np.add.at(d_e, best, -pm)  # in patch-row order
     return LossValue(
         value=value,
-        gradients={"patches": d_p, "descriptor_tokens": d_e},
+        gradients={"patches": -em[best], "descriptor_tokens": d_e},
         tie_rows=tuple(ties),
     )
 
@@ -143,16 +125,7 @@ def retrieval_infonce(scores: np.ndarray, tau: float = DEFAULT_TAU) -> LossValue
     Returns gradients w.r.t. the raw scores; the trainer chains them into the
     embedding rows through the MaxSim argmax structure.
     """
-    tau = _check_tau(tau)
-    values = np.asarray(scores, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 1:
-        raise ConfigurationError(f"retrieval_infonce: expected a square score matrix, got {values.shape}")
-    b = values.shape[0]
-
-    logits = values / tau
-    probs, lse = _row_softmax(logits)
-    value = float(-np.mean(np.diag(logits) - lse))
-    d_scores = -(np.eye(b) - probs) / (b * tau)
+    value, d_scores = _infonce(np.asarray(scores, dtype=np.float64), tau)
     return LossValue(value=value, gradients={"scores": d_scores})
 
 
@@ -193,13 +166,10 @@ def local_align_tie_exclusion(
     p_mask = np.zeros(p.shape, dtype=bool)
     e_mask = np.zeros(e.shape, dtype=bool)
     if lv.tie_rows:
-        p_unit = p / np.linalg.norm(p, axis=1, keepdims=True)
-        e_unit = e / np.linalg.norm(e, axis=1, keepdims=True)
-        cos_grid = p_unit @ e_unit.T
+        grid = p @ e.T
         for k in lv.tie_rows:
             p_mask[k, :] = True
-            top = np.max(cos_grid[k])
-            e_mask[cos_grid[k] >= top - tie_tol, :] = True
+            e_mask[grid[k] >= np.max(grid[k]) - tie_tol, :] = True
     return {"patches": p_mask, "descriptor_tokens": e_mask}
 
 

@@ -402,6 +402,35 @@ class TestErrorHandling:
         assert "configuration error" in err and f"file not found: {nope}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--out"), ("train", "--out"), ("train", "--log"), ("index", "--out"),
+        ("eval", "--report-out"), ("ablate", "--report-out"),
+    ])
+    def test_output_in_a_missing_directory_exits_2_before_any_work(
+        self, ws, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        for name in ("run_gen", "run_train", "run_index", "run_eval", "run_ablate"):
+            monkeypatch.setattr(f"glint.pipeline.{name}", refuse)
+        nope = tmp_path / "nope" / "dir" / "artifact"
+        inputs = {
+            "gen": [],
+            "train": ["--corpus", str(ws["corpus"])],
+            "index": ["--checkpoint", str(ws["ckpt"]), "--corpus", str(ws["corpus"])],
+            "eval": ["--corpus", str(ws["corpus"]), "--checkpoint", str(ws["ckpt"])],
+            "ablate": ["--corpus", str(ws["corpus"]), "--checkpoints", str(ws["root"])],
+        }[command]
+        args = _args(ws, command, *inputs, flag, str(nope))
+        if flag == "--log":
+            args += ["--out", str(tmp_path / "x.ckpt")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"output directory not found for {flag}: {nope}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("section, key, value", [
         ("eval", "k", "five"), ("corpus", "n_pages", "many"), ("corpus", "grid_rows", 3.0),
         ("trainer", "batch_size", 2.5),

@@ -12,7 +12,8 @@ A change that moves bits on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the moved digests in CHANGES.md.
+which first prints the names whose digests moved against the committed
+file; the change names them in CHANGES.md.
 """
 
 import contextlib
@@ -93,14 +94,18 @@ def run_chain(workdir: Path) -> dict[str, str]:
     return digests
 
 
+def moved(recorded: dict[str, str], got: dict[str, str]) -> list[str]:
+    """Names whose digest differs, or that only one side has."""
+    return sorted(name for name in recorded.keys() | got.keys() if recorded.get(name) != got.get(name))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_artifact_and_stdout_matches_the_golden_digests(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     got = run_chain(tmp_path)
-    moved = sorted(name for name in golden["digests"].keys() | got.keys()
-                   if golden["digests"].get(name) != got.get(name))
-    assert not moved, (
-        f"digests moved: {moved}\nrecorded on {golden['host']}\nthis host  {host()}\n"
+    changed = moved(golden["digests"], got)
+    assert not changed, (
+        f"digests moved: {changed}\nrecorded on {golden['host']}\nthis host  {host()}\n"
         "If the change moves these bits on purpose, rewrite tests/golden.json with "
         "`PYTHONPATH=src python tests/test_golden.py` and name them in CHANGES.md."
     )
@@ -111,5 +116,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         record = {"host": host(), "digests": run_chain(Path(tmp))}
+    recorded = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    for name in moved(recorded, record["digests"]):
+        print(f"moved: {name}")
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}: {len(record['digests'])} digests")

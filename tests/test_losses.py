@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from glint.errors import ConfigurationError, DegenerateInputError, DimensionMismatchError
+from glint.embeddings import normalize_rows
+from glint.errors import ConfigurationError, DimensionMismatchError
 from glint.losses import (
     DEFAULT_TAU,
     FiniteDiffReport,
@@ -53,15 +54,6 @@ class TestGlobalInfonce:
             permuted = global_infonce(gv[perm], gd[perm], tau=0.3).value
             np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-12)
 
-    def test_row_scale_invariance(self):
-        rng = np.random.default_rng(2)
-        gv = rng.normal(size=(4, 6))
-        gd = rng.normal(size=(4, 6))
-        scales = rng.uniform(0.1, 10.0, size=(4, 1))
-        a = global_infonce(gv, gd, tau=0.5).value
-        b = global_infonce(gv * scales, gd * scales[::-1], tau=0.5).value
-        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -78,17 +70,22 @@ class TestGlobalInfonce:
             assert report.passed, report.worst
             assert report.n_checked == 48
 
+    def test_is_retrieval_infonce_over_the_dot_product_grid(self):
+        rng = np.random.default_rng(2)
+        for b in (1, 3, 8):
+            gv = normalize_rows(rng.normal(size=(b, 6)))
+            gd = normalize_rows(rng.normal(size=(b, 6)))
+            lv = global_infonce(gv, gd, tau=0.1)
+            grid = retrieval_infonce(gv @ gd.T, tau=0.1)
+            assert lv.value == grid.value
+            g = grid.gradients["scores"]
+            np.testing.assert_array_equal(lv.gradients["visual_globals"], g @ gd)
+            np.testing.assert_array_equal(lv.gradients["descriptor_globals"], g.T @ gv)
+
     def test_temperature_must_be_positive(self):
         for tau in (0.0, -1.0):
             with pytest.raises(ConfigurationError):
                 global_infonce(I2, I2, tau=tau)
-
-    def test_zero_norm_row_rejected(self):
-        dead = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateInputError):
-            global_infonce(dead, I2)
-        with pytest.raises(DegenerateInputError):
-            global_infonce(I2, dead)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -118,18 +115,10 @@ class TestLocalAlign:
         rng = np.random.default_rng(4)
         for _ in range(50):
             lp = int(rng.integers(1, 6))
-            patches = rng.normal(size=(lp, 4))
-            desc = rng.normal(size=(int(rng.integers(1, 6)), 4))
+            patches = normalize_rows(rng.normal(size=(lp, 4)))
+            desc = normalize_rows(rng.normal(size=(int(rng.integers(1, 6)), 4)))
             v = local_align(patches, desc).value
             assert -lp - 1e-12 <= v <= lp + 1e-12
-
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(5)
-        patches = rng.normal(size=(3, 5))
-        desc = rng.normal(size=(4, 5))
-        a = local_align(patches, desc).value
-        b = local_align(7.0 * patches, 0.01 * desc).value
-        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -164,6 +153,18 @@ class TestLocalAlign:
         assert report.n_excluded == 6
         assert report.passed
 
+    def test_tie_is_in_the_dot_products_not_the_cosines(self):
+        # Against the patch both tokens score dot product 1.0, while their
+        # cosines are 1.0 and 1/sqrt(26): the loss and its masks see the tie.
+        patches = np.array([[1.0, 0.0]])
+        desc = np.array([[1.0, 0.0], [1.0, 5.0]])
+        lv = local_align(patches, desc)
+        assert lv.tie_rows == (0,)
+        assert lv.value == -1.0
+        masks = local_align_tie_exclusion(patches, desc)
+        assert masks["patches"].all()
+        assert masks["descriptor_tokens"].all()
+
     def test_no_tie_means_empty_masks(self):
         patches = np.array([[1.0, 0.0]])
         desc = np.array([[0.9, 0.1], [0.0, 1.0]])
@@ -178,12 +179,6 @@ class TestLocalAlign:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             local_align(np.ones((2, 3)), np.ones((2, 4)))
-
-    def test_zero_norm_row_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            local_align(np.zeros((1, 3)), np.ones((1, 3)))
-        with pytest.raises(DegenerateInputError):
-            local_align(np.ones((1, 3)), np.zeros((2, 3)))
 
 
 class TestRetrievalInfonce:

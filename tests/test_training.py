@@ -14,14 +14,16 @@ from conftest import (
 )
 
 from glint.corpus import generate_corpus
-from glint.encoder import Encoder, init_params
+from glint.encoder import Encoder, init_params, zero_grads
 from glint.errors import ConfigurationError, TrainingDivergedError
+from glint.losses import LossValue
 from glint.metrics import ndcg_at_k
 from glint.scoring import maxsim, rank
 from glint.training import (
     AdamW,
     TrainerConfig,
     TrainSample,
+    _backward_batch,
     _dev_ndcg,
     _forward_batch,
     _make_samples,
@@ -287,6 +289,68 @@ class TestDevNdcg:
         tweaked = copy.deepcopy(small_corpus)
         tweaked.splits["dev"].query_ids = []
         assert _dev_ndcg(trained_small, tweaked, 3) == 0.0
+
+
+def _cosine_global_infonce(gv, gd, tau):
+    """The global loss as it was written on cosines: rows normalized inside
+    the loss, with the normalization Jacobian chained into the gradients."""
+    gv_n = np.linalg.norm(gv, axis=1, keepdims=True)
+    gd_n = np.linalg.norm(gd, axis=1, keepdims=True)
+    gv_u, gd_u = gv / gv_n, gd / gd_n
+    cos = gv_u @ gd_u.T
+    logits = cos / tau
+    m = logits.max(axis=1, keepdims=True)
+    z = np.exp(logits - m).sum(axis=1, keepdims=True)
+    b = len(gv)
+    value = float(-np.mean(np.diag(logits) - (m + np.log(z)).ravel()))
+    dcos = -(np.eye(b) - np.exp(logits - m) / z) / (b * tau)
+    row_dots = np.sum(dcos * cos, axis=1, keepdims=True)
+    col_dots = np.sum(dcos * cos, axis=0)[:, None]
+    return LossValue(value, {
+        "visual_globals": (dcos @ gd_u - row_dots * gv_u) / gv_n,
+        "descriptor_globals": (dcos.T @ gv_u - col_dots * gd_u) / gd_n,
+    })
+
+
+def _cosine_local_align(patches, desc, tie_tol=1e-9):
+    """The local loss as it was written on cosines (see _cosine_global_infonce)."""
+    p_n = np.linalg.norm(patches, axis=1, keepdims=True)
+    e_n = np.linalg.norm(desc, axis=1, keepdims=True)
+    p_u, e_u = patches / p_n, desc / e_n
+    cos = p_u @ e_u.T
+    best = np.argmax(cos, axis=1)
+    c = cos[np.arange(len(patches)), best][:, None]
+    top2 = np.sort(cos, axis=1)[:, -2:]
+    ties = tuple(int(k) for k in np.nonzero(top2[:, 1] - top2[:, 0] < tie_tol)[0]) if cos.shape[1] > 1 else ()
+    d_e = np.zeros_like(desc)
+    np.add.at(d_e, best, -(p_u - c * e_u[best]) / e_n[best])
+    return LossValue(float(-c.sum()), {"patches": -(e_u[best] - c * p_u) / p_n, "descriptor_tokens": d_e}, ties)
+
+
+class TestLossesTakeUnitRows:
+    def test_one_step_equals_the_cosine_losses(self, small_corpus, monkeypatch):
+        # The encoder emits unit rows and projects the radial part out of
+        # every row gradient, so normalizing again inside the losses changes
+        # the step only by rounding.
+        cfg, tcfg = small_encoder_config(), small_trainer_config()
+        assert tcfg.enable_global and tcfg.enable_local
+        encoder = Encoder(cfg, init_params(cfg))
+        batch = _make_samples(small_corpus, small_corpus.splits["train"].query_ids[: tcfg.batch_size], need_desc=True)
+
+        def step():
+            fwd = _forward_batch(encoder, batch, tcfg)
+            grads = zero_grads(cfg)
+            _backward_batch(encoder, batch, tcfg, fwd, grads)
+            return fwd.value, grads
+
+        value, grads = step()
+        monkeypatch.setattr("glint.training.global_infonce", _cosine_global_infonce)
+        monkeypatch.setattr("glint.training.local_align", _cosine_local_align)
+        oracle_value, oracle_grads = step()
+        assert value == oracle_value
+        for name, g in oracle_grads.items():
+            scale = 1.0 if name.endswith("attn_k_b") else float(np.max(np.abs(g)))
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
 
 
 class TestGradCheck:
