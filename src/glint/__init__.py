@@ -26,7 +26,6 @@ from .embeddings import DocumentEmbedding, QueryEmbedding
 from .encoder import Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .errors import (
     ConfigurationError,
-    DimensionMismatchError,
     InsufficientDataError,
     IntegrityError,
     TrainingDivergedError,
@@ -53,7 +52,6 @@ __all__ = [
     "ConfigurationError",
     "Corpus",
     "CorpusConfig",
-    "DimensionMismatchError",
     "DocumentEmbedding",
     "DocumentIndex",
     "Encoder",

@@ -610,6 +610,10 @@ def validate_corpus(corpus: Corpus) -> None:
     seen_pages: set[int] = set()
     seen_queries: set[int] = set()
     for name, split in corpus.splits.items():
+        missing = [f"page {p!r}" for p in split.page_ids if p not in corpus.pages]
+        missing += [f"query {q!r}" for q in split.query_ids if q not in corpus.queries]
+        if missing:
+            raise ConfigurationError(f"split {name} names missing {', '.join(missing)}")
         if seen_pages & set(split.page_ids) or seen_queries & set(split.query_ids):
             raise ConfigurationError(f"split {name} overlaps another split")
         seen_pages |= set(split.page_ids)
@@ -685,14 +689,17 @@ def _parse_lines(path: Path) -> list[dict]:
 
 
 @contextmanager
-def _record_errors(path: Path, kind) -> Iterator[None]:
-    """Report a record with a missing or unknown field as a configuration error."""
+def _record_errors(path: Path, what: str) -> Iterator[None]:
+    """Report any fault in `what` (a record, or the whole corpus) as a
+    configuration error naming the file, missing or wrong-typed fields included."""
     try:
         yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     except KeyError as exc:
-        raise ConfigurationError(f"{path}: {kind} record is missing field {exc}") from exc
+        raise ConfigurationError(f"{path}: {what} is missing field {exc}") from exc
     except TypeError as exc:
-        raise ConfigurationError(f"{path}: malformed {kind} record: {exc}") from exc
+        raise ConfigurationError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def load_corpus(path) -> Corpus:
@@ -701,21 +708,19 @@ def load_corpus(path) -> Corpus:
     if not path.exists():
         raise ConfigurationError(f"corpus file not found: {path}")
     records = _parse_lines(path)
-    try:
+    with _record_errors(path, "header record"):
         config = CorpusConfig(**records[0]["config"])
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: bad config header: {exc}") from exc
     pages: dict[int, PageSpec] = {}
     queries: dict[int, QuerySpec] = {}
     splits: dict[str, Split] = {}
     for rec in records[1:]:
         kind = rec.get("kind")
-        with _record_errors(path, kind):
+        with _record_errors(path, f"{kind} record"):
             if kind == "page":
                 pid = rec["page_id"]
                 if type(pid) is not int or not 0 <= pid < 2**64:
                     raise ConfigurationError(
-                        f"{path}: page record with page_id {pid!r}: a page id must be an integer in [0, 2**64)"
+                        f"page record with page_id {pid!r}: a page id must be an integer in [0, 2**64)"
                     )
                 regions = [Region(**r) for r in rec["regions"]]
                 pages[pid] = PageSpec(
@@ -732,8 +737,9 @@ def load_corpus(path) -> Corpus:
             elif kind == "split":
                 splits[rec["name"]] = Split(page_ids=rec["page_ids"], query_ids=rec["query_ids"])
             else:
-                raise ConfigurationError(f"{path}: unknown record kind {kind!r}")
+                raise ConfigurationError(f"unknown record kind {kind!r}")
 
     corpus = Corpus(config=config, pages=pages, queries=queries, splits=splits)
-    validate_corpus(corpus)
+    with _record_errors(path, "corpus"):
+        validate_corpus(corpus)
     return corpus

@@ -454,6 +454,9 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray], int]:
     try:
         header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
         config = EncoderConfig(**header["encoder"])
+        steps_trained = header["steps_trained"]
+        if type(steps_trained) is not int or steps_trained < 0:
+            raise TypeError(f"steps_trained {steps_trained!r} is not a count")
     except (ValueError, KeyError, TypeError) as exc:
         raise IntegrityError(f"{path}: malformed checkpoint header ({exc})") from exc
     offset = 4 + header_len
@@ -467,4 +470,4 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray], int]:
         offset += 4 * count
     if offset != len(payload):
         raise IntegrityError(f"{path}: {len(payload) - offset} trailing bytes after parameters")
-    return config, params, int(header["steps_trained"])
+    return config, params, steps_trained

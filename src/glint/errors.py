@@ -1,10 +1,9 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigurationError -> 2,
-IntegrityError -> 3. Everything else is a plain failure. No error type
-guards a zero-norm row: normalization passes one through with a
-DegenerateVectorWarning, and the training losses take the encoder's unit
-rows as given.
+The CLI maps these onto exit codes: ConfigurationError -> 2 (a mismatched
+embedding dimension included), IntegrityError -> 3. Everything else is a
+plain failure. No error type guards a zero-norm row: the encoder emits unit
+rows and every consumer takes them as given.
 """
 
 
@@ -14,10 +13,6 @@ class ConfigurationError(ValueError):
 
 class IntegrityError(RuntimeError):
     """A persisted artifact (checkpoint, index) failed validation on read."""
-
-
-class DimensionMismatchError(ValueError):
-    """Two vectors/matrices that must agree in shape do not."""
 
 
 class InsufficientDataError(ValueError):
@@ -30,7 +25,3 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-class DegenerateVectorWarning(UserWarning):
-    """A zero-norm vector passed through an operation that tolerates it."""

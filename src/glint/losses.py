@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import _check_rows
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import ConfigurationError
 
 #: Default temperature for both contrastive losses.
 DEFAULT_TAU = 0.02
@@ -75,7 +75,7 @@ def global_infonce(
     gv = _check_rows("visual_globals", visual_globals)
     gd = _check_rows("descriptor_globals", descriptor_globals)
     if gv.shape != gd.shape:
-        raise DimensionMismatchError(f"global_infonce: shapes {gv.shape} vs {gd.shape}")
+        raise ConfigurationError(f"global_infonce: shapes {gv.shape} vs {gd.shape}")
     value, d_grid = _infonce(gv @ gd.T, tau)
     return LossValue(
         value=value,
@@ -98,7 +98,7 @@ def local_align(
     pm = _check_rows("patches", patches)
     em = _check_rows("descriptor_tokens", descriptor_tokens)
     if pm.shape[1] != em.shape[1]:
-        raise DimensionMismatchError(f"local_align: dims {pm.shape[1]} vs {em.shape[1]}")
+        raise ConfigurationError(f"local_align: dims {pm.shape[1]} vs {em.shape[1]}")
 
     grid = pm @ em.T
     best = np.argmax(grid, axis=1)

@@ -4,7 +4,8 @@ The relevance of a document to a query is the sum, over active query rows, of
 the maximum dot product against any active document row. With all flags on the
 row sets are (tokens + query global) x (patches + document global). Flags
 exist so scoring ablations (drop patches / drop either global) reuse one code
-path. Inputs are assumed row-normalized, so dot products are cosines.
+path. Rows are the encoder's unit rows, taken as given, so dot products are
+cosines; only `pool_patches` scales a vector, its pooled one, to unit norm.
 
 Every MaxSim in the package runs one product, `_sims`, on documents held in
 tiles of `_TILE` documents: a stack of documents with R rows each is a
@@ -41,8 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .embeddings import DocumentEmbedding, QueryEmbedding, l2_normalize
-from .errors import ConfigurationError, DimensionMismatchError
+from .embeddings import DocumentEmbedding, QueryEmbedding
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ class DocumentIndex(Sequence[DocumentEmbedding]):
         self._tiles = tiles = np.zeros((-(-len(docs) // _TILE), n_rows + 1, _TILE, dim), dtype=np.float64)
         for j, doc in enumerate(docs):
             if doc.global_vec.shape[0] != dim:
-                raise DimensionMismatchError(
+                raise ConfigurationError(
                     f"DocumentIndex: page {doc.page_id} has d={doc.global_vec.shape[0]}, expected {dim}"
                 )
             t, c = divmod(j, _TILE)
@@ -331,7 +332,7 @@ def rank(
 
 
 def pool_patches(patches: np.ndarray, mode: str) -> np.ndarray:
-    """Collapse a patch matrix to one L2-normalized vector.
+    """Collapse a patch matrix to one unit vector (a zero vector comes back as is).
 
     mode: "mean" (column average), "max" (column-wise maximum), or "median"
     (column-wise median, even counts averaged). These are the deterministic
@@ -348,4 +349,5 @@ def pool_patches(patches: np.ndarray, mode: str) -> np.ndarray:
         pooled = np.median(patches, axis=0)
     else:
         raise ConfigurationError(f"pool_patches: unknown mode {mode!r}")
-    return l2_normalize(pooled)
+    norm = float(np.linalg.norm(pooled))
+    return pooled if norm <= 1e-12 else pooled / norm

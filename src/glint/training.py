@@ -67,6 +67,8 @@ class TrainerConfig:
             raise ConfigurationError("learning_rate and tau must be positive")
         if self.weight_decay < 0 or self.warmup_steps < 0 or self.epochs < 0:
             raise ConfigurationError("weight_decay, warmup_steps, epochs must be non-negative")
+        if self.eval_k < 1 or self.early_stop_patience < 0:
+            raise ConfigurationError("eval_k must be >= 1 and early_stop_patience non-negative")
 
     def needs_descriptors(self) -> bool:
         return self.enable_global or self.enable_local or self.cross_context

@@ -1,9 +1,16 @@
-"""Shared fixtures: a small generated corpus and a briefly trained encoder.
+"""Shared fixtures: a small generated corpus and a briefly trained encoder,
+plus the unit rows and malformed files several test modules build.
 
 Everything here is deliberately small — the heavyweight seed-averaged runs
 live in test_acceptance.py behind their own session fixtures.
 """
 
+import json
+import struct
+import zlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from glint.corpus import CorpusConfig, generate_corpus
@@ -24,6 +31,58 @@ def forbid_descriptors(monkeypatch) -> None:
         raise DescriptorDerived(f"descriptor of page {page.page_id} derived")
 
     monkeypatch.setattr("glint.corpus.generate_descriptor", refuse)
+
+
+def unit_rows(mat) -> np.ndarray:
+    """Scale every row of `mat` to unit norm, the rows the encoder emits."""
+    mat = np.asarray(mat, dtype=np.float64)
+    return mat / np.linalg.norm(mat, axis=-1, keepdims=True)
+
+
+def _first(records, kind, **fields):
+    return next(r for r in records if r["kind"] == kind and all(r[k] == v for k, v in fields.items()))
+
+
+#: Corpus files that must not load: (edit of the parsed records, in place;
+#: what the error says after the file name).
+MALFORMED_CORPORA = [
+    pytest.param(lambda recs: _first(recs, "split")["query_ids"].append(10**6),
+                 "split train names missing query 1000000", id="split-names-unknown-query"),
+    pytest.param(lambda recs: _first(recs, "split")["page_ids"].append(10**6),
+                 "split train names missing page 1000000", id="split-names-unknown-page"),
+    pytest.param(lambda recs: recs[0].pop("config"),
+                 "header record is missing field 'config'", id="header-without-config"),
+    pytest.param(lambda recs: _first(recs, "page")["regions"][0].update(row="a"),
+                 "malformed corpus: ", id="region-row-is-a-string"),
+    pytest.param(lambda recs: _first(recs, "query", qtype="global").update(tokens="abc"),
+                 "malformed corpus: ", id="query-tokens-is-a-string"),
+]
+
+
+def write_malformed_corpus(src, dst, edit) -> None:
+    """Copy the corpus file src to dst with edit applied to its records."""
+    records = [json.loads(line) for line in Path(src).read_text(encoding="utf-8").splitlines()]
+    edit(records)
+    dst.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+#: Checkpoint headers that must not load, each an edit of the parsed header.
+MALFORMED_CHECKPOINT_HEADERS = [
+    pytest.param(lambda header: header.pop("steps_trained"), id="steps-trained-missing"),
+    pytest.param(lambda header: header.update(steps_trained="many"), id="steps-trained-is-a-string"),
+]
+
+
+def write_malformed_checkpoint(src, dst, edit) -> None:
+    """Copy the checkpoint src to dst with edit applied to its JSON header and
+    the checksum recomputed, so only the header is at fault."""
+    blob = Path(src).read_bytes()
+    (header_len,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = struct.pack("<I", len(raw)) + raw + blob[12 + header_len : -4]
+    dst.write_bytes(blob[:8] + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 def small_corpus_config(**overrides) -> CorpusConfig:

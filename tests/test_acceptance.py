@@ -17,11 +17,17 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import forbid_descriptors, small_corpus_config, small_encoder_config, small_trainer_config
+from conftest import (
+    forbid_descriptors,
+    small_corpus_config,
+    small_encoder_config,
+    small_trainer_config,
+    unit_rows,
+)
 
 from glint.config import RunConfig
 from glint.corpus import generate_corpus
-from glint.embeddings import DocumentEmbedding, QueryEmbedding, normalize_rows
+from glint.embeddings import DocumentEmbedding, QueryEmbedding
 from glint.encoder import Encoder
 from glint.evaluation import encode_split_docs, evaluate
 from glint.losses import (
@@ -128,13 +134,13 @@ def _naive_maxsim(q: QueryEmbedding, d: DocumentEmbedding) -> float:
 def _random_pair(rng, d=None):
     d = d if d is not None else int(rng.integers(2, 17))
     q = QueryEmbedding(
-        tokens=normalize_rows(rng.normal(size=(int(rng.integers(1, 9)), d))),
-        global_vec=normalize_rows(rng.normal(size=(1, d)))[0],
+        tokens=unit_rows(rng.normal(size=(int(rng.integers(1, 9)), d))),
+        global_vec=unit_rows(rng.normal(size=(1, d)))[0],
         query_id=0,
     )
     doc = DocumentEmbedding(
-        patches=normalize_rows(rng.normal(size=(int(rng.integers(1, 9)), d))),
-        global_vec=normalize_rows(rng.normal(size=(1, d)))[0],
+        patches=unit_rows(rng.normal(size=(int(rng.integers(1, 9)), d))),
+        global_vec=unit_rows(rng.normal(size=(1, d)))[0],
         page_id=0,
     )
     return q, doc

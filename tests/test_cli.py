@@ -9,11 +9,15 @@ import zlib
 import numpy as np
 import pytest
 from conftest import (
+    MALFORMED_CHECKPOINT_HEADERS,
+    MALFORMED_CORPORA,
     DescriptorDerived,
     forbid_descriptors,
     small_corpus_config,
     small_encoder_config,
     small_trainer_config,
+    write_malformed_checkpoint,
+    write_malformed_corpus,
 )
 
 from glint.cli import main
@@ -430,6 +434,22 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "configuration error" in err and f"output directory not found for {flag}: {nope}" in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_CORPORA)
+    def test_malformed_corpus_exits_2_naming_the_file(self, ws, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.jsonl"
+        write_malformed_corpus(ws["corpus"], bad, edit)
+        capsys.readouterr()
+        assert main(_args(ws, "eval", "--corpus", str(bad), "--checkpoint", str(ws["ckpt"]))) == 2
+        assert f"configuration error: {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINT_HEADERS)
+    def test_malformed_checkpoint_header_exits_3_naming_the_file(self, ws, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.ckpt"
+        write_malformed_checkpoint(ws["ckpt"], bad, edit)
+        capsys.readouterr()
+        assert main(_args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(bad))) == 3
+        assert f"integrity error: {bad}: malformed checkpoint header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("eval", "k", "five"), ("corpus", "n_pages", "many"), ("corpus", "grid_rows", 3.0),

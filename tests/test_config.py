@@ -110,6 +110,10 @@ class TestUnknownKeys:
     def test_section_values_still_validated(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"trainer": {"tau": -1.0}})
+        with pytest.raises(ConfigurationError, match="eval_k"):
+            config_from_dict({"trainer": {"eval_k": 0}})
+        with pytest.raises(ConfigurationError, match="early_stop_patience"):
+            config_from_dict({"trainer": {"early_stop_patience": -1}})
 
 
 class TestValueTypes:

@@ -2,10 +2,11 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
-from conftest import forbid_descriptors, small_corpus_config
+from conftest import MALFORMED_CORPORA, forbid_descriptors, small_corpus_config, write_malformed_corpus
 
 from glint.corpus import (
     REGION_TYPES,
@@ -427,6 +428,16 @@ class TestSerialization:
             path.write_text("\n".join(lines) + "\n")
             with pytest.raises(ConfigurationError, match=r"corpus\.jsonl: " + message):
                 load_corpus(path)
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_CORPORA)
+    def test_malformed_corpus_is_a_configuration_error_naming_the_file(
+        self, small_corpus, tmp_path, edit, message
+    ):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        save_corpus(small_corpus, good)
+        write_malformed_corpus(good, bad, edit)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{bad}: {message}")):
+            load_corpus(bad)
 
     @pytest.mark.parametrize("page_id", [-7, 2**64, 1.0, "3", True, None])
     def test_page_id_the_index_cannot_store_is_rejected(self, small_corpus, tmp_path, page_id):

@@ -1,9 +1,11 @@
 """Encoder shapes, weight sharing, determinism, and checkpoint integrity."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
+from conftest import MALFORMED_CHECKPOINT_HEADERS, write_malformed_checkpoint
 
 from glint.encoder import (
     CHECKPOINT_MAGIC,
@@ -338,6 +340,14 @@ class TestCheckpoints:
         path.write_bytes(blob[:8] + padded + struct.pack("<I", zlib.crc32(padded) & 0xFFFFFFFF))
         with pytest.raises(IntegrityError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINT_HEADERS)
+    def test_malformed_steps_trained_is_an_integrity_error(self, tmp_path, edit):
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(good, _cfg(), init_params(_cfg()), steps_trained=4)
+        write_malformed_checkpoint(good, bad, edit)
+        with pytest.raises(IntegrityError, match=re.escape(f"{bad}: malformed checkpoint header")):
+            load_checkpoint(bad)
 
     def test_misshapen_param_refused_at_save(self, tmp_path):
         cfg = _cfg()

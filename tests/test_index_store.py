@@ -5,8 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
+from conftest import unit_rows
 
-from glint.embeddings import DocumentEmbedding, normalize_rows
+from glint.embeddings import DocumentEmbedding
 from glint.errors import IntegrityError
 from glint.index_store import INDEX_MAGIC, read_index, write_index
 from glint.scoring import _TILE, DocumentIndex
@@ -16,8 +17,8 @@ def _random_docs(seed=0, n=5, d=8):
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n):
-        patches = normalize_rows(rng.normal(size=(int(rng.integers(1, 6)), d)))
-        global_vec = normalize_rows(rng.normal(size=(1, d)))[0]
+        patches = unit_rows(rng.normal(size=(int(rng.integers(1, 6)), d)))
+        global_vec = unit_rows(rng.normal(size=(1, d)))[0]
         docs.append(DocumentEmbedding(patches=patches, global_vec=global_vec, page_id=100 + i))
     return docs
 

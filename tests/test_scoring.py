@@ -1,11 +1,14 @@
 """MaxSim scoring, batch grids, ranking, and patch pooling."""
 
+import warnings
+
 import numpy as np
 import pytest
+from conftest import unit_rows
 
-from glint.embeddings import DocumentEmbedding, QueryEmbedding, normalize_rows
+from glint.embeddings import DocumentEmbedding, QueryEmbedding
 from glint.encoder import EncoderConfig
-from glint.errors import ConfigurationError, DimensionMismatchError
+from glint.errors import ConfigurationError
 from glint.scoring import (
     ALL_ROWS,
     DocumentIndex,
@@ -41,9 +44,9 @@ def _doc(patches, global_vec, pid=0):
 def _random_pair(rng, d=8, lq=None, ld=None, qid=0, pid=0):
     lq = lq or int(rng.integers(1, 9))
     ld = ld or int(rng.integers(1, 9))
-    q = _query(normalize_rows(rng.normal(size=(lq, d))), rng.normal(size=d), qid)
+    q = _query(unit_rows(rng.normal(size=(lq, d))), rng.normal(size=d), qid)
     q.global_vec /= np.linalg.norm(q.global_vec)
-    doc = _doc(normalize_rows(rng.normal(size=(ld, d))), rng.normal(size=d), pid)
+    doc = _doc(unit_rows(rng.normal(size=(ld, d))), rng.normal(size=d), pid)
     doc.global_vec /= np.linalg.norm(doc.global_vec)
     return q, doc
 
@@ -192,8 +195,8 @@ class TestMaxsimKernel:
     def test_stack_equals_per_document_loop_bit_for_bit(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
-            q_rows = normalize_rows(rng.normal(size=(int(rng.integers(1, 9)), 8)))
-            d_rows = normalize_rows(rng.normal(size=(6 * 5, 8))).reshape(6, 5, 8)
+            q_rows = unit_rows(rng.normal(size=(int(rng.integers(1, 9)), 8)))
+            d_rows = unit_rows(rng.normal(size=(6 * 5, 8))).reshape(6, 5, 8)
             scores, arg = maxsim(q_rows, d_rows)
             assert scores.shape == (6,) and arg.shape == (6, q_rows.shape[0])
             for j in range(6):
@@ -202,8 +205,8 @@ class TestMaxsimKernel:
                 np.testing.assert_array_equal(arg[j], ref_arg[0])
         # A stack of queries scores as one 2-D call per query, bit for bit.
         for n_q, l_q, n_d, l_d in ((20, 9, 32, 17), (12, 4, 32, 17), (3, 9, 5, 30), (1, 9, 4000, 17)):
-            q_stack = normalize_rows(rng.normal(size=(n_q * l_q, 16))).reshape(n_q, l_q, 16)
-            d_rows = normalize_rows(rng.normal(size=(n_d * l_d, 16))).reshape(n_d, l_d, 16)
+            q_stack = unit_rows(rng.normal(size=(n_q * l_q, 16))).reshape(n_q, l_q, 16)
+            d_rows = unit_rows(rng.normal(size=(n_d * l_d, 16))).reshape(n_d, l_d, 16)
             scores, arg = maxsim(q_stack, d_rows)
             assert scores.shape == (n_q, n_d) and arg.shape == (n_q, n_d, l_q)
             for i in range(n_q):
@@ -277,7 +280,7 @@ class TestDocumentIndex:
     def test_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(27)
         docs = [_random_pair(rng, d=8)[1], _random_pair(rng, d=4)[1]]
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigurationError):
             DocumentIndex(docs)
 
 
@@ -360,8 +363,8 @@ def _near_tie_docs(rng, hub, deltas, first_pid):
     """Copies of hub with every row moved by about delta and renormalized."""
     out = []
     for j, delta in enumerate(deltas):
-        patches = normalize_rows(hub.patches + delta * rng.normal(size=hub.patches.shape))
-        global_vec = normalize_rows((hub.global_vec + delta * rng.normal(size=hub.global_vec.shape))[None])[0]
+        patches = unit_rows(hub.patches + delta * rng.normal(size=hub.patches.shape))
+        global_vec = unit_rows((hub.global_vec + delta * rng.normal(size=hub.global_vec.shape))[None])[0]
         out.append(_doc(patches, global_vec, pid=first_pid + j))
     return out
 
@@ -383,8 +386,8 @@ class TestBoundPass:
             for flags in FLAG_ROWS:
                 # Query rows near the hub's rows put the near-ties at the top.
                 hub_rows = _active_doc_rows(hub, flags)
-                tokens = normalize_rows(hub_rows[rng.integers(len(hub_rows), size=6)] + 0.05 * rng.normal(size=(6, 16)))
-                q = _query(tokens, normalize_rows(rng.normal(size=(1, 16)))[0], qid=trial)
+                tokens = unit_rows(hub_rows[rng.integers(len(hub_rows), size=6)] + 0.05 * rng.normal(size=(6, 16)))
+                q = _query(tokens, unit_rows(rng.normal(size=(1, 16)))[0], qid=trial)
                 q_rows = query_rows(q, flags)
                 scores = index.scores(q_rows, flags)
                 approx = index.approx_scores(q_rows, flags)
@@ -493,6 +496,24 @@ class TestPoolPatches:
         for mode in ("mean", "max", "median"):
             out = pool_patches(rng.normal(size=(7, 5)), mode)
             np.testing.assert_allclose(np.linalg.norm(out), 1.0, atol=1e-12)
+
+    def test_zero_pooled_vector_comes_back_unchanged_without_a_warning(self):
+        patches = np.array([[1.0, -2.0], [-1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pool_patches(patches, "mean")
+        np.testing.assert_array_equal(out, [0.0, 0.0])
+
+    def test_each_mode_divides_by_the_whole_vector_norm(self):
+        # The ablation's pooled rows rest on this exact arithmetic: one norm of
+        # the whole vector, not the encoder's per-row norm over the last axis.
+        rng = np.random.default_rng(23)
+        for mode, pool in (("mean", np.mean), ("max", np.max), ("median", np.median)):
+            for _ in range(50):
+                patches = unit_rows(rng.normal(size=(int(rng.integers(2, 17)), 32)))
+                pooled = pool(patches, axis=0)
+                expected = pooled / float(np.linalg.norm(pooled))
+                assert pool_patches(patches, mode).tobytes() == expected.tobytes()
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):

@@ -46,6 +46,10 @@ class TestTrainerConfig:
             TrainerConfig(tau=-0.1)
         with pytest.raises(ConfigurationError):
             TrainerConfig(weight_decay=-1e-4)
+        with pytest.raises(ConfigurationError, match="eval_k"):
+            TrainerConfig(eval_k=0)
+        with pytest.raises(ConfigurationError, match="early_stop_patience"):
+            TrainerConfig(early_stop_patience=-1)
 
     def test_descriptor_requirements(self):
         assert TrainerConfig().needs_descriptors()
