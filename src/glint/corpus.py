@@ -24,9 +24,10 @@ Descriptors use only structural ids; queries mix structural and content ids.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -306,17 +307,18 @@ def parse_pattern(tokens: list[int], layout: TokenLayout) -> list[tuple[int, int
     """Extract (type, row, col) clauses from a global query's structural tokens."""
     clauses: list[tuple[int, int, int]] = []
     cur_type = cur_row = cur_col = None
+    row_base, col_base, hgt_base, content_base = layout.row_base, layout.col_base, layout.hgt_base, layout.content_base
     for t in tokens:
-        if t >= layout.content_base:
+        if t >= content_base:
             continue
-        if t < layout.row_base:
+        if t < row_base:
             if cur_type is not None:
                 clauses.append((cur_type, cur_row, cur_col))
             cur_type, cur_row, cur_col = t, None, None
-        elif t < layout.col_base:
-            cur_row = t - layout.row_base
-        elif t < layout.hgt_base:
-            cur_col = t - layout.col_base
+        elif t < col_base:
+            cur_row = t - row_base
+        elif t < hgt_base:
+            cur_col = t - col_base
     if cur_type is not None:
         clauses.append((cur_type, cur_row, cur_col))
     return clauses
@@ -326,6 +328,32 @@ def pattern_satisfied(page: PageSpec, clauses: list[tuple[int, int, int]]) -> bo
     """True when every clause has a region of that type anchored at (row, col)."""
     anchors = {(REGION_TYPES.index(r.region_type), r.row, r.col) for r in page.regions}
     return all(clause in anchors for clause in clauses)
+
+
+class _OverlapIndex:
+    """The generator's overlap rule, held as two sets of sorted 3-id tuples.
+
+    A new group is admitted when its headline quad (first four ids) shares at
+    most two ids with every earlier page's content, and every earlier quad
+    shares at most two ids with the whole group. Two id sets share three ids
+    exactly when some 3-id subset of one lies in the other, so the rule is
+    two set lookups per draw instead of a scan over every earlier page.
+    """
+
+    def __init__(self) -> None:
+        self.page_triples: set[tuple[int, ...]] = set()  # every 3 ids some page holds
+        self.quad_triples: set[tuple[int, ...]] = set()  # every 3 ids of some headline quad
+
+    def add_page(self, content: Iterable[int]) -> None:
+        self.page_triples.update(combinations(sorted(content), 3))
+
+    def add_quad(self, quad: Iterable[int]) -> None:
+        self.quad_triples.update(combinations(sorted(quad), 3))
+
+    def admits(self, grp: list[int]) -> bool:
+        """grp holds distinct ids; its first four are the headline quad."""
+        quad_triples, grp_triples = combinations(sorted(grp[:4]), 3), combinations(sorted(grp), 3)
+        return self.page_triples.isdisjoint(quad_triples) and self.quad_triples.isdisjoint(grp_triples)
 
 
 @dataclass
@@ -367,8 +395,8 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
             f"need at least {3 * cfg.tokens_per_group}"
         )
 
-    used_sets: list[set[int]] = []  # full content set of every page built so far
-    quads: list[set[int]] = []  # headline quads that content queries draw from
+    overlap = _OverlapIndex()  # the content of every page built so far, and every headline quad
+    content_base = layout.content_base
 
     def draw_group() -> list[int]:
         """Sample a content group whose leading quad stays decisive.
@@ -378,10 +406,8 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
         overlap this whole group — in at most two ids.
         """
         for _ in range(200):
-            grp = [int(layout.content_base + i) for i in rng.choice(pool_size, size=cfg.tokens_per_group, replace=False)]
-            quad = set(grp[:4])
-            full = set(grp)
-            if all(len(quad & s) <= 2 for s in used_sets) and all(len(q & full) <= 2 for q in quads):
+            grp = [content_base + int(i) for i in rng.choice(pool_size, size=cfg.tokens_per_group, replace=False)]
+            if overlap.admits(grp):
                 return grp
         if pool_size == SKETCH_DIM:
             advice = (
@@ -440,12 +466,11 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
                     )
                 )
             page = PageSpec(page_id=next_page, n_rows=cfg.grid_rows, n_cols=cfg.grid_cols, regions=regions)
-            page.validate()
             pages[next_page] = page
             pair_pages.append(page)
-            used_sets.append(page.content_token_set())
+            overlap.add_page(page.content_token_set())
             next_page += 1
-        quads.append(set(core))
+        overlap.add_quad(core)
 
         qids = []
         for which, spans in enumerate((spans_a, spans_b)):
@@ -493,11 +518,10 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
                 )
             )
         page = PageSpec(page_id=next_page, n_rows=cfg.grid_rows, n_cols=cfg.grid_cols, regions=regions)
-        page.validate()
         pages[next_page] = page
         background_ids.append(next_page)
-        used_sets.append(page.content_token_set())
-        quads.append(set(grp[:4]))
+        overlap.add_page(page.content_token_set())
+        overlap.add_quad(grp[:4])
         next_page += 1
 
     bg_queries: dict[int, list[int]] = {pid: [] for pid in background_ids}
@@ -569,6 +593,10 @@ def validate_corpus(corpus: Corpus) -> None:
         page.validate()
 
     content = {pid: page.content_token_set() for pid, page in corpus.pages.items()}
+    pages_with: dict[int, list[int]] = {}  # content token -> the pages holding it, in page order
+    for pid, page_content in content.items():
+        for t in page_content:
+            pages_with.setdefault(t, []).append(pid)
     for q in corpus.queries.values():
         if not q.relevant_page_ids:
             raise ConfigurationError(f"query {q.query_id} has no relevant pages")
@@ -599,8 +627,10 @@ def validate_corpus(corpus: Corpus) -> None:
                 raise ConfigurationError(
                     f"local query {q.query_id}: host page {host} lacks some query tokens"
                 )
-            for pid, page_content in content.items():
-                if pid not in q.relevant_page_ids and toks <= page_content:
+            # A page covering every query token holds the query's rarest one.
+            candidates = min((pages_with[t] for t in toks), key=len, default=content)
+            for pid in candidates:
+                if pid not in q.relevant_page_ids and toks <= content[pid]:
                     raise ConfigurationError(
                         f"local query {q.query_id}: page {pid} also covers all query tokens"
                     )

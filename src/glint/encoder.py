@@ -18,6 +18,15 @@ weight gradient in one GEMM over all B * (L + 1) rows.
 Gradients are computed analytically (no autograd); the training module's
 gradient checker verifies them end-to-end against central finite differences.
 
+The kernels write into their own buffers (`out=`, `+=`) instead of
+allocating a temporary per operator. The in-place rule: the same ufuncs run
+in the same order on the same operands as the one-expression textbook form,
+only the destinations change, so every row and gradient keeps its bits.
+Swapping the operands of one `+` or `*` is allowed (IEEE addition and
+multiplication commute); regrouping is not. `mean` and `np.linalg.norm`
+become the `np.add.reduce` they call inside. The tests hold each kernel to
+its textbook form with `np.array_equal`.
+
 Checkpoints are a versioned binary format: magic "GDFT", format version, a
 JSON header with the encoder config, the parameter tensors in declaration
 order as little-endian float32, and a trailing CRC32 of the payload.
@@ -153,12 +162,20 @@ def zero_grads(config: EncoderConfig) -> dict[str, np.ndarray]:
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    width = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    mu /= width
+    xhat = x - mu
+    out = xhat * xhat
+    inv = np.add.reduce(out, axis=-1, keepdims=True)
+    inv /= width
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, g, out=out)
+    out += b
+    return out, (xhat, inv, g)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -170,25 +187,52 @@ def _ln_backward(dout: np.ndarray, cache):
     """Backward of _ln_forward over a stack, taking and returning (B * n, width) rows."""
     xhat, inv, g = cache
     xhat, inv = _rows(xhat), _rows(inv)
-    dg = (dout * xhat).sum(axis=0)
-    db = dout.sum(axis=0)
-    dxhat = dout * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    width = xhat.shape[-1]
+    tmp = dout * xhat
+    dg = np.add.reduce(tmp, axis=0)
+    db = np.add.reduce(dout, axis=0)
+    dx = dout * g  # dxhat, turned into dx in place
+    mean_dxhat = np.add.reduce(dx, axis=-1, keepdims=True)
+    mean_dxhat /= width
+    np.multiply(dx, xhat, out=tmp)
+    mean_dxhat_xhat = np.add.reduce(tmp, axis=-1, keepdims=True)
+    mean_dxhat_xhat /= width
+    dx -= mean_dxhat
+    np.multiply(xhat, mean_dxhat_xhat, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _gelu_forward(u: np.ndarray):
-    t = np.tanh(_GELU_C0 * (u + _GELU_C1 * (u * u * u)))  # u**3 calls pow() per element
-    return 0.5 * u * (1.0 + t), t
+    """tanh(C0 * (u + C1 * u^3)) and 0.5 * u * (1 + tanh), in two buffers."""
+    t = u * u
+    t *= u  # u**3 calls pow() per element
+    t *= _GELU_C1
+    t += u
+    t *= _GELU_C0
+    np.tanh(t, out=t)
+    a = 0.5 * u
+    a *= 1.0 + t
+    return a, t
 
 
 def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray):
-    dtanh_du = (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * u * u)
-    return da * (0.5 * (1.0 + t) + 0.5 * u * dtanh_du)
+    """da * (0.5 * (1 + t) + 0.5 * u * dtanh_du), in two buffers."""
+    dtanh_du = t * t
+    np.subtract(1.0, dtanh_du, out=dtanh_du)
+    dtanh_du *= _GELU_C0
+    poly = u * (3.0 * _GELU_C1)
+    poly *= u
+    poly += 1.0
+    dtanh_du *= poly
+    tail = np.multiply(u, 0.5, out=poly)
+    tail *= dtanh_du
+    du = np.add(t, 1.0, out=dtanh_du)
+    du *= 0.5
+    du += tail
+    du *= da
+    return du
 
 
 class Encoder:
@@ -250,7 +294,9 @@ class Encoder:
         single = feats.ndim == 2
         if single:
             feats = feats[None]
-        return feats @ self.params["patch_proj_w"] + self.params["patch_proj_b"], feats, single
+        x0 = feats @ self.params["patch_proj_w"]
+        x0 += self.params["patch_proj_b"]
+        return x0, feats, single
 
     # ----- transformer stack -----
 
@@ -262,8 +308,10 @@ class Encoder:
             raise ConfigurationError(f"sequence of {n} rows exceeds max_seq {cfg.max_seq}")
         shared = provenance["kind"] == "patches" or cfg.share_global_token
         global_name = "global_token" if shared else "global_token_text"
-        g_row = np.broadcast_to(p[global_name], (B, 1, m))
-        x = np.concatenate([x0, g_row], axis=1) + p["pos_emb"][:n]
+        x = np.empty((B, n, m))
+        x[:, : n - 1] = x0
+        x[:, n - 1] = p[global_name]
+        x += p["pos_emb"][:n]
 
         heads, dh = cfg.heads, m // cfg.heads
         scale = 1.0 / np.sqrt(dh)
@@ -272,22 +320,31 @@ class Encoder:
         for i in range(cfg.layers):
             pre = f"layer{i}."
             ln1_out, ln1_c = _ln_forward(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
-            q = ln1_out @ p[pre + "attn_q_w"] + p[pre + "attn_q_b"]
-            k = ln1_out @ p[pre + "attn_k_w"] + p[pre + "attn_k_b"]
-            v = ln1_out @ p[pre + "attn_v_w"] + p[pre + "attn_v_b"]
+            q = ln1_out @ p[pre + "attn_q_w"]
+            q += p[pre + "attn_q_b"]
+            k = ln1_out @ p[pre + "attn_k_w"]
+            k += p[pre + "attn_k_b"]
+            v = ln1_out @ p[pre + "attn_v_w"]
+            v += p[pre + "attn_v_b"]
             qh = q.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
             kh = k.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
             vh = v.reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
-            logits = (qh @ kh.swapaxes(-1, -2)) * scale
-            logits -= logits.max(axis=-1, keepdims=True)
-            e = np.exp(logits)
-            att = e / e.sum(axis=-1, keepdims=True)
+            att = qh @ kh.swapaxes(-1, -2)  # logits, turned into the softmax in place
+            att *= scale
+            att -= np.maximum.reduce(att, axis=-1, keepdims=True)
+            np.exp(att, out=att)
+            att /= np.add.reduce(att, axis=-1, keepdims=True)
             ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(B, n, m)
-            h1 = h + ctx @ p[pre + "attn_o_w"] + p[pre + "attn_o_b"]
+            h1 = ctx @ p[pre + "attn_o_w"]
+            h1 += h
+            h1 += p[pre + "attn_o_b"]
             ln2_out, ln2_c = _ln_forward(h1, p[pre + "ln2_g"], p[pre + "ln2_b"])
-            u = ln2_out @ p[pre + "ff_w1"] + p[pre + "ff_b1"]
+            u = ln2_out @ p[pre + "ff_w1"]
+            u += p[pre + "ff_b1"]
             a, t = _gelu_forward(u)
-            h = h1 + a @ p[pre + "ff_w2"] + p[pre + "ff_b2"]
+            h = a @ p[pre + "ff_w2"]
+            h += h1
+            h += p[pre + "ff_b2"]
             layer_caches.append(
                 {"ln1_out": ln1_out, "ln1_c": ln1_c, "qh": qh, "kh": kh, "vh": vh,
                  "att": att, "ctx": ctx, "ln2_out": ln2_out, "ln2_c": ln2_c,
@@ -295,10 +352,11 @@ class Encoder:
             )
 
         lnf_out, lnf_c = _ln_forward(h, p["final_ln_g"], p["final_ln_b"])
-        z = lnf_out @ p["head_w"] + p["head_b"]
-        norms = np.linalg.norm(z, axis=-1, keepdims=True)
-        safe = np.where(norms <= 1e-12, 1.0, norms)
-        y = z / safe
+        y = lnf_out @ p["head_w"]  # z, divided by its row norms in place
+        y += p["head_b"]
+        safe = np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True))
+        safe[safe <= 1e-12] = 1.0
+        y /= safe
         cache = {
             "layers": layer_caches,
             "lnf_out": lnf_out,
@@ -332,7 +390,12 @@ class Encoder:
         d_y = np.reshape(d_y, y.shape)
         # Every gradient below is held as (B * n, width) rows, so each matmul
         # is one GEMM over the whole stack.
-        dz = _rows((d_y - y * (d_y * y).sum(axis=-1, keepdims=True)) / norms)
+        dz = d_y * y
+        radial = np.add.reduce(dz, axis=-1, keepdims=True)
+        np.multiply(y, radial, out=dz)
+        np.subtract(d_y, dz, out=dz)
+        dz /= norms
+        dz = _rows(dz)
         B, n, m = y.shape[0], y.shape[1], cfg.model_dim
         heads, dh = cfg.heads, m // cfg.heads
         scale = 1.0 / np.sqrt(dh)
@@ -360,7 +423,8 @@ class Encoder:
             dh1_ln, dg2, db2 = _ln_backward(dln2_out, lc["ln2_c"])
             grads[pre + "ln2_g"] += dg2
             grads[pre + "ln2_b"] += db2
-            dh1 = d_hidden + dh1_ln
+            dh1 = dh1_ln
+            dh1 += d_hidden
             # attention block: h1 = h + (att @ v) @ wo + bo
             dattn = dh1
             grads[pre + "attn_o_w"] += _rows(lc["ctx"]).T @ dattn
@@ -368,9 +432,13 @@ class Encoder:
             dctx = (dattn @ p[pre + "attn_o_w"].T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
             datt = dctx @ lc["vh"].swapaxes(-1, -2)
             dvh = lc["att"].swapaxes(-1, -2) @ dctx
-            dlogits = lc["att"] * (datt - (datt * lc["att"]).sum(axis=-1, keepdims=True))
-            dqh = (dlogits * scale) @ lc["kh"]
-            dkh = (dlogits * scale).swapaxes(-1, -2) @ lc["qh"]
+            dlogits = datt  # scaled in place: datt -> d(logits) -> d(qh @ kh^T)
+            datt_att = datt * lc["att"]
+            dlogits -= np.add.reduce(datt_att, axis=-1, keepdims=True)
+            dlogits *= lc["att"]
+            dlogits *= scale
+            dqh = dlogits @ lc["kh"]
+            dkh = dlogits.swapaxes(-1, -2) @ lc["qh"]
             dq = dqh.transpose(0, 2, 1, 3).reshape(B * n, m)
             dk = dkh.transpose(0, 2, 1, 3).reshape(B * n, m)
             dv = dvh.transpose(0, 2, 1, 3).reshape(B * n, m)
@@ -381,11 +449,14 @@ class Encoder:
             grads[pre + "attn_k_b"] += dk.sum(axis=0)
             grads[pre + "attn_v_w"] += ln1_rows.T @ dv
             grads[pre + "attn_v_b"] += dv.sum(axis=0)
-            dln1_out = dq @ p[pre + "attn_q_w"].T + dk @ p[pre + "attn_k_w"].T + dv @ p[pre + "attn_v_w"].T
+            dln1_out = dq @ p[pre + "attn_q_w"].T
+            dln1_out += dk @ p[pre + "attn_k_w"].T
+            dln1_out += dv @ p[pre + "attn_v_w"].T
             dh_ln, dg1, db1 = _ln_backward(dln1_out, lc["ln1_c"])
             grads[pre + "ln1_g"] += dg1
             grads[pre + "ln1_b"] += db1
-            d_hidden = dh1 + dh_ln
+            dh_ln += dh1
+            d_hidden = dh_ln
 
         d_hidden = d_hidden.reshape(B, n, m)
         grads["pos_emb"][:n] += d_hidden.sum(axis=0)
@@ -442,8 +513,10 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray], int]:
         blob = Path(path).read_bytes()
     except FileNotFoundError as exc:
         raise ConfigurationError(f"checkpoint file not found: {path}") from exc
-    if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise IntegrityError(f"{path}: not a GDFT checkpoint")
+    if len(blob) < 16:  # magic, version, header length and CRC
+        raise IntegrityError(f"{path}: checkpoint truncated to {len(blob)} bytes")
     (version,) = struct.unpack("<I", blob[4:8])
     if version != CHECKPOINT_VERSION:
         raise IntegrityError(f"{path}: unsupported checkpoint version {version}")

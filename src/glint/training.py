@@ -122,12 +122,27 @@ class AdamW:
         b1, b2, eps = 0.9, 0.999, 1e-8
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+        # m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g, and
+        # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p), each
+        # written into the moments, `update` or `tmp`.
         for name in self._order:
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            update = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + eps)
-            params[name] -= lr * (update + self.weight_decay * params[name])
+            g, m, v, param = grads[name], self.m[name], self.v[name], params[name]
+            tmp = g * (1.0 - b1)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            update = m / bc1
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            update /= tmp
+            np.multiply(param, self.weight_decay, out=tmp)
+            update += tmp
+            update *= lr
+            param -= update
 
 
 def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:

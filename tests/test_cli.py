@@ -22,7 +22,7 @@ from conftest import (
 
 from glint.cli import main
 from glint.config import RunConfig, save_config
-from glint.encoder import Encoder, save_checkpoint
+from glint.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Encoder, save_checkpoint
 from glint.index_store import read_index
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -450,6 +450,13 @@ class TestErrorHandling:
         capsys.readouterr()
         assert main(_args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(bad))) == 3
         assert f"integrity error: {bad}: malformed checkpoint header" in capsys.readouterr().err
+
+    def test_checkpoint_of_magic_version_and_crc_alone_exits_3(self, ws, tmp_path, capsys):
+        tiny = tmp_path / "tiny.ckpt"
+        tiny.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 0))
+        capsys.readouterr()
+        assert main(_args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(tiny))) == 3
+        assert f"integrity error: {tiny}: checkpoint truncated to 12 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("eval", "k", "five"), ("corpus", "n_pages", "many"), ("corpus", "grid_rows", 3.0),

@@ -1,5 +1,6 @@
 """Corpus generation: determinism, constructive guarantees, and the file format."""
 
+import hashlib
 import itertools
 import json
 import re
@@ -7,8 +8,11 @@ import re
 import numpy as np
 import pytest
 from conftest import MALFORMED_CORPORA, forbid_descriptors, small_corpus_config, write_malformed_corpus
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from glint.corpus import (
+    _OverlapIndex,
     REGION_TYPES,
     SKETCH_DIM,
     CorpusConfig,
@@ -183,6 +187,75 @@ class TestGeneration:
             qtypes = {small_corpus.queries[qid].qtype for qid in split.query_ids}
             assert qtypes == {"local", "global"}, f"split {name} has {qtypes}"
 
+    @pytest.mark.parametrize("config, digest", [
+        # The benchmark's 400-page corpora: search's corpus 0 (seed 1) and
+        # three of the nine it stacks on it (seeds 11-13), which reject many
+        # draws on the way to 400 pages.
+        (dict(n_pages=400, n_queries=400, seed=1), "4410a684b7f86f65e468497c41a89b7250e70acb6e4d8ea79d9de85b2139309b"),
+        (dict(n_pages=400, n_queries=400, seed=11), "328f87ba5ad6492e2e93fca8194e90548cc7b9cd32429f31ea70eee78340dbcb"),
+        (dict(n_pages=400, n_queries=400, seed=12), "4c5f3f02ab70f4bfe917c8ed34a8cd1c64ec52683e21275f94bdd59a7feb9740"),
+        (dict(n_pages=400, n_queries=400, seed=13), "7e5429d1fc864460a6bfd5bae1f9f034466dd1e066850b7a411d3764cec71274"),
+        # The default 200-page config.
+        (dict(seed=0), "d2a70c07014b9f297a1e841b26ed0479ecc0e74a3c1fbcdb7b425e60bf7d87d8"),
+        (dict(seed=1), "3cb76ca718d1526aa02df81e0f65039e8196659207f9d7a6301376a4a99c3fad"),
+        (dict(seed=2), "7c462d94e3b3e91bfcc9ff84aa4819963c239c0eee3908f7711f6af7b7be7303"),
+        # Near the ~450-page ceiling of the 64-id content pool.
+        (dict(n_pages=450, n_queries=450, seed=1), "eccbdb4231c3357e015a0860a3a4f3042d490dd80fcd8d0ba1b84f3a28be57b8"),
+    ], ids=lambda v: "-".join(f"{k}{x}" for k, x in v.items()) if isinstance(v, dict) else "sha256")
+    def test_save_corpus_bytes_are_pinned(self, tmp_path, config, digest):
+        # Corpus bytes come from the seeded generator and json alone, not BLAS,
+        # so these digests hold on any host.
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(generate_corpus(CorpusConfig(**config)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _admitted_by_pairwise_scan(pages: list[set[int]], quads: list[set[int]], grp: list[int]) -> bool:
+    """The overlap rule as a scan over every earlier page and quad."""
+    quad, full = set(grp[:4]), set(grp)
+    return all(len(quad & s) <= 2 for s in pages) and all(len(q & full) <= 2 for q in quads)
+
+
+@st.composite
+def _overlap_histories(draw):
+    """(pages' content sets, headline quads, candidate groups) over a pool of
+    fewer than 64 ids, in the shapes generate_corpus builds."""
+    tokens_per_group = draw(st.sampled_from([4, 6, 8]))
+    pool_size = draw(st.integers(tokens_per_group, 63))
+    ids = st.integers(0, pool_size - 1)
+    pages = draw(st.lists(st.sets(ids, max_size=tokens_per_group), max_size=40))
+    quads = draw(st.lists(st.sets(ids, min_size=4, max_size=4), max_size=40))
+    groups = draw(st.lists(
+        st.lists(ids, min_size=tokens_per_group, max_size=tokens_per_group, unique=True), min_size=1, max_size=20))
+    return pages, quads, groups
+
+
+class TestOverlapIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(_overlap_histories())
+    def test_admits_exactly_what_the_pairwise_scan_admits(self, history):
+        pages, quads, groups = history
+        index = _OverlapIndex()
+        for content in pages:
+            index.add_page(content)
+        for quad in quads:
+            index.add_quad(quad)
+        for grp in groups:
+            expected = _admitted_by_pairwise_scan(pages, quads, grp)
+            event("admitted" if expected else "rejected")
+            assert index.admits(grp) == expected
+
+    def test_hand_cases(self):
+        index = _OverlapIndex()
+        index.add_page({1, 2, 3, 9})
+        index.add_quad([20, 21, 22, 23])
+        assert index.admits([1, 2, 4, 5, 6, 7])  # quad shares two ids with the page
+        assert not index.admits([3, 1, 2, 5, 6, 7])  # three, in any order
+        assert index.admits([5, 6, 7, 8, 1, 2, 3, 9])  # the page's ids outside the quad are free
+        assert index.admits([5, 6, 7, 8, 20, 21])  # an earlier quad shares two ids with the group
+        assert not index.admits([5, 6, 7, 8, 20, 21, 23])  # three, outside the new quad
+        assert index.admits([2, 3, 4, 5]) and _OverlapIndex().admits([1, 2, 3, 4])
+
 
 class TestDescriptors:
     def test_structure_only(self, small_corpus):
@@ -345,6 +418,30 @@ class TestValidateCorpus:
         q = next(q for q in broken.queries.values() if q.qtype == "local")
         q.tokens = list(q.tokens) + [broken.config.vocab_size - 1]
         with pytest.raises(ConfigurationError, match="lacks some query tokens"):
+            validate_corpus(broken)
+
+
+    def test_local_query_covered_by_another_page_names_the_first_such_page(self, small_corpus):
+        import copy
+
+        broken = copy.deepcopy(small_corpus)
+        q = next(q for q in broken.queries.values() if q.qtype == "local")
+        others = [pid for pid in broken.pages if pid not in q.relevant_page_ids]
+        for pid in (others[-1], others[0]):  # the later page first: the message follows page order
+            broken.pages[pid].regions[0].content_tokens += list(q.tokens)
+        with pytest.raises(
+            ConfigurationError, match=f"local query {q.query_id}: page {others[0]} also covers all query tokens"
+        ):
+            validate_corpus(broken)
+
+    def test_local_query_without_tokens_is_covered_by_every_page(self, small_corpus):
+        import copy
+
+        broken = copy.deepcopy(small_corpus)
+        q = next(q for q in broken.queries.values() if q.qtype == "local")
+        q.tokens = []
+        first_other = next(pid for pid in broken.pages if pid not in q.relevant_page_ids)
+        with pytest.raises(ConfigurationError, match=f"page {first_other} also covers all query tokens"):
             validate_corpus(broken)
 
 

@@ -8,12 +8,20 @@ import pytest
 from conftest import MALFORMED_CHECKPOINT_HEADERS, write_malformed_checkpoint
 
 from glint.encoder import (
+    _GELU_C0,
+    _GELU_C1,
+    _LN_EPS,
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Encoder,
     EncoderConfig,
     init_params,
     load_checkpoint,
     param_spec,
+    _gelu_backward,
+    _gelu_forward,
+    _ln_backward,
+    _ln_forward,
     save_checkpoint,
     zero_grads,
 )
@@ -341,6 +349,14 @@ class TestCheckpoints:
         with pytest.raises(IntegrityError, match="trailing"):
             load_checkpoint(path)
 
+    def test_file_of_magic_version_and_crc_alone_is_an_integrity_error(self, tmp_path):
+        # The CRC of an empty payload is 0, so the checksum passes; the header
+        # length the payload must start with is missing.
+        path = tmp_path / "tiny.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, 0))
+        with pytest.raises(IntegrityError, match=re.escape(f"{path}: checkpoint truncated to 12 bytes")):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", MALFORMED_CHECKPOINT_HEADERS)
     def test_malformed_steps_trained_is_an_integrity_error(self, tmp_path, edit):
         good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
@@ -369,3 +385,88 @@ class TestCheckpoints:
         b = reloaded.encode_page(feats, 0)
         # float32 quantization moves rows a little, but not far.
         np.testing.assert_allclose(b.patches, a.patches, rtol=0, atol=1e-5)
+
+
+# ----- kernels against their one-expression textbook forms -----
+
+
+def _ln_forward_textbook(x, g, b):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, (xhat, inv, g)
+
+
+def _ln_backward_textbook(dout, cache):
+    xhat, inv, g = cache
+    xhat, inv = xhat.reshape(-1, xhat.shape[-1]), inv.reshape(-1, 1)
+    dg = (dout * xhat).sum(axis=0)
+    db = dout.sum(axis=0)
+    dxhat = dout * g
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def _gelu_forward_textbook(u):
+    t = np.tanh(_GELU_C0 * (u + _GELU_C1 * (u * u * u)))
+    return 0.5 * u * (1.0 + t), t
+
+
+def _gelu_backward_textbook(da, u, t):
+    dtanh_du = (1.0 - t * t) * _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * u * u)
+    return da * (0.5 * (1.0 + t) + 0.5 * u * dtanh_du)
+
+
+_STACKS = [(1, 9), (1, 17), (32, 17)]
+
+
+class TestKernelsEqualTextbookForms:
+    """The in-place kernels keep every bit of the expressions they replace."""
+
+    @pytest.mark.parametrize("B, n", _STACKS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm_forward_and_backward(self, B, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(B, n, 64)) * rng.uniform(0.1, 10.0)
+        g, b = rng.normal(size=64), rng.normal(size=64)
+        out, cache = _ln_forward(x.copy(), g, b)
+        want, want_cache = _ln_forward_textbook(x, g, b)
+        assert np.array_equal(out, want)
+        for got, ref in zip(cache, want_cache):
+            assert np.array_equal(got, ref)
+        dout = rng.normal(size=(B * n, 64))
+        for got, ref in zip(_ln_backward(dout, cache), _ln_backward_textbook(dout, want_cache)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("B, n", _STACKS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gelu_forward_and_backward(self, B, n, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=(B, n, 256)) * 3.0
+        a, t = _gelu_forward(u)
+        want_a, want_t = _gelu_forward_textbook(u)
+        assert np.array_equal(a, want_a) and np.array_equal(t, want_t)
+        rows, da = u.reshape(-1, 256), rng.normal(size=(B * n, 256))
+        t_rows = t.reshape(-1, 256)
+        assert np.array_equal(_gelu_backward(da, rows, t_rows), _gelu_backward_textbook(da, rows, t_rows))
+
+    def test_kernels_leave_their_inputs_alone(self):
+        rng = np.random.default_rng(0)
+        x, g, b = rng.normal(size=(4, 5, 64)), rng.normal(size=64), rng.normal(size=64)
+        u, dout, da = rng.normal(size=(20, 256)), rng.normal(size=(20, 64)), rng.normal(size=(20, 256))
+        before = [a.copy() for a in (x, g, b, u, dout, da)]
+        _, cache = _ln_forward(x, g, b)
+        xhat, inv = cache[0].copy(), cache[1].copy()
+        _ln_backward(dout, cache)
+        _, t = _gelu_forward(u)
+        t_before = t.copy()
+        _gelu_backward(da, u, t)
+        for got, ref in zip((x, g, b, u, dout, da), before):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv) and np.array_equal(t, t_before)

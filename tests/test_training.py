@@ -102,6 +102,33 @@ class TestAdamW:
         np.testing.assert_allclose(params["global_token"], before - 0.01, rtol=0, atol=1e-8)
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_step_equals_the_textbook_update_bit_for_bit(self, seed):
+        # The in-place step against its one-expression form, over several
+        # steps so the moments and bias corrections carry state.
+        rng = np.random.default_rng(seed)
+        cfg = _tiny_config(seed)
+        params = {k: v + rng.normal(size=v.shape) for k, v in init_params(cfg).items()}
+        want = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v_ = {k: np.zeros_like(v) for k, v in params.items()}
+        opt = AdamW(cfg, weight_decay=0.05)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 5):
+            grads = {k: rng.normal(size=v.shape) * 10.0 ** rng.integers(-6, 2) for k, v in params.items()}
+            lr = float(rng.uniform(1e-4, 1e-1))
+            opt.step(params, grads, lr)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v_[k] = b2 * v_[k] + (1.0 - b2) * (g * g)
+                update = (m[k] / bc1) / (np.sqrt(v_[k] / bc2) + eps)
+                want[k] -= lr * (update + 0.05 * want[k])
+            for k in params:
+                assert np.array_equal(params[k], want[k]), k
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v_[k]), k
+
+
 class TestTrainLoop:
     def test_loss_decreases(self, small_corpus):
         result = train(small_corpus, small_encoder_config(), small_trainer_config(epochs=5))
