@@ -45,12 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint output path")
     p.add_argument("--log", type=Path, default=None, help="training log path (default <out>.log.json)")
-    p.add_argument(
-        "--variant",
-        default="full",
-        choices=("full", "loss_no_global", "loss_no_local", "retrieval_only"),
-        help="loss-switch variant to train",
-    )
+    p.add_argument("--variant", default="full", help="loss-switch variant to train")
     p.add_argument("--resume", type=Path, default=None, help="checkpoint to continue from")
 
     p = sub.add_parser("index", parents=[common], help="encode corpus pages into an index")
@@ -63,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=Path, required=True)
     p.add_argument("--query", type=_token_list, required=True, help="token ids, e.g. '21,22,23'")
     p.add_argument("-k", type=int, default=5, help="number of results")
-    p.add_argument("--no-query-global", action="store_true", help="drop the query global row")
-    p.add_argument("--no-doc-global", action="store_true", help="drop the document global row")
-    p.add_argument("--no-patches", action="store_true", help="drop patch rows (global-only scoring)")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint on a split")
     p.add_argument("--corpus", type=Path, required=True)
@@ -146,15 +138,8 @@ def _dispatch(args) -> int:
 
     if args.command == "search":
         from .pipeline import run_search
-        from .scoring import ScoringFlags
 
-        flags = ScoringFlags(
-            use_query_global=not args.no_query_global,
-            use_doc_global=not args.no_doc_global,
-            use_patches=not args.no_patches,
-        )
-        flags.validate()
-        ranking = run_search(args.checkpoint, args.index, args.query, args.k, flags=flags)
+        ranking = run_search(args.checkpoint, args.index, args.query, args.k, flags=config.scoring)
         for pos, (pid, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
             print(f"{pos:4d}  page {pid:6d}  score {score:.6f}")
         return 0

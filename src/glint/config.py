@@ -2,8 +2,10 @@
 
 A RunConfig bundles the corpus, encoder, trainer, and evaluation settings
 plus the cross-context mode. Persisted as YAML; loading rejects unknown keys
-so a typo cannot silently fall back to a default. YAML 1.1 parses a bare
-`off` as boolean false, so the loader normalizes that back to the string.
+so a typo cannot silently fall back to a default. A top-level `seed` fills
+in every section seed left unset and is not stored itself. YAML 1.1 parses
+a bare `off` as boolean false, so the loader normalizes that back to the
+string.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ CROSS_CONTEXT_MODES = ("off", "frozen", "finetuned")
 
 @dataclass
 class RunConfig:
-    seed: int = 0
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
@@ -47,12 +48,15 @@ class RunConfig:
             raise ConfigurationError(f"eval_k must be >= 1, got {self.eval_k}")
         if self.eval_split not in ("train", "dev", "test"):
             raise ConfigurationError(f"eval_split must be train/dev/test, got {self.eval_split!r}")
+        if self.trainer.cross_context and self.cross_context != "finetuned":
+            raise ConfigurationError(
+                f"trainer.cross_context: true needs cross_context: finetuned, got {self.cross_context!r}"
+            )
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Propagate one seed into every seeded component."""
         return replace(
             self,
-            seed=seed,
             corpus=replace(self.corpus, seed=seed),
             encoder=replace(self.encoder, seed=seed),
             trainer=replace(self.trainer, seed=seed),
@@ -71,7 +75,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
             "corpus": dataclasses.asdict(self.corpus),
             "encoder": dataclasses.asdict(self.encoder),
             "trainer": dataclasses.asdict(self.trainer),
@@ -136,7 +139,6 @@ def config_from_dict(data: dict) -> RunConfig:
     if rows is not None and not (isinstance(rows, list) and all(isinstance(r, str) for r in rows)):
         raise ConfigurationError(f"config value ablation_rows must be a list of strings, got {rows!r}")
     return RunConfig(
-        seed=0 if seed is None else seed,
         corpus=_build_section(CorpusConfig, data.get("corpus", {}), "corpus", seed),
         encoder=_build_section(EncoderConfig, data.get("encoder", {}), "encoder", seed),
         trainer=_build_section(TrainerConfig, data.get("trainer", {}), "trainer", seed),

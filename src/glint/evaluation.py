@@ -164,7 +164,6 @@ def evaluate(
     base_docs: Sequence[DocumentEmbedding] | None = None,
 ) -> EvalReport:
     """Rank every query of the split against the split's pages and score it."""
-    flags.validate()
     docs = DocumentIndex(
         encode_split_docs(encoder, corpus, split, cross_context=cross_context, pooling=pooling, base_docs=base_docs)
     )

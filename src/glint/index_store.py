@@ -32,24 +32,25 @@ INDEX_VERSION = 1
 _NORM_TOL = 1e-6
 
 
-def _check_unit_rows(rows: np.ndarray, what: str) -> None:
-    norms = np.linalg.norm(rows, axis=-1)
-    bad = ~(np.abs(norms - 1.0) <= _NORM_TOL)  # a NaN norm is not within tol either
-    if np.any(bad):
-        raise ValueError(f"{what}: {int(np.sum(bad))} rows are not unit-norm")
+def _check_unit_rows(rows: np.ndarray, page_id: int) -> None:
+    """Refuse a document's (patches + global, d) rows unless all are unit-norm."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    ok = np.abs(norms - 1.0) <= _NORM_TOL  # a NaN norm is not within tol either
+    if not ok.all():
+        n_bad = int(np.sum(~ok[:-1]))
+        what = f"patches: {n_bad}" if n_bad else "global: 1"
+        raise ValueError(f"page {page_id} {what} rows are not unit-norm")
 
 
 def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
-    """Serialize document embeddings. Every row is validated before the file
-    is replaced in one step, so no failure leaves a partial index behind.
-    The file is assembled in one buffer of its final size, the only copy of
-    its bytes that writing holds."""
+    """Serialize document embeddings. The file is assembled in one buffer of
+    its final size, the only copy of its bytes that writing holds, and each
+    document's rows are checked once there, so no failure leaves a partial
+    index behind."""
     d = docs[0].global_vec.shape[0] if docs else 0
     for doc in docs:
         if doc.global_vec.shape[0] != d or doc.patches.shape[1] != d:
             raise ValueError(f"page {doc.page_id}: dimension mismatch with index header d={d}")
-        _check_unit_rows(doc.patches, f"page {doc.page_id} patches")
-        _check_unit_rows(doc.global_vec, f"page {doc.page_id} global")
     size = 16 + sum(12 + (doc.patches.shape[0] + 1) * d * 8 for doc in docs)
     blob = bytearray(size + 4)
     blob[:16] = INDEX_MAGIC + struct.pack("<III", INDEX_VERSION, d, len(docs))
@@ -60,6 +61,7 @@ def write_index(docs: Sequence[DocumentEmbedding], path) -> None:
         rows = np.frombuffer(blob, dtype="<f8", count=(n_rows + 1) * d, offset=off + 12).reshape(n_rows + 1, d)
         rows[:-1] = doc.patches
         rows[-1] = doc.global_vec
+        _check_unit_rows(rows, doc.page_id)
         off += 12 + rows.nbytes
     struct.pack_into("<I", blob, size, zlib.crc32(memoryview(blob)[:size]))
     write_atomic(path, blob)

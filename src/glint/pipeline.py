@@ -22,12 +22,13 @@ from .index_store import read_index, write_index
 from .scoring import ALL_ROWS, DocumentIndex, Ranking, ScoringFlags, rank
 from .training import TrainerConfig, train
 
-#: Loss-switch overrides for trainable ablation variants.
+#: Loss-weight overrides for trainable ablation variants: a zero weight
+#: switches its loss off.
 TRAIN_VARIANTS = {
     "full": {},
-    "loss_no_global": {"enable_global": False},
-    "loss_no_local": {"enable_local": False},
-    "retrieval_only": {"enable_global": False, "enable_local": False},
+    "loss_no_global": {"weight_global": 0.0},
+    "loss_no_local": {"weight_local": 0.0},
+    "retrieval_only": {"weight_global": 0.0, "weight_local": 0.0},
 }
 
 #: Checkpoint role -> filename inside an ablation checkpoint directory.
@@ -62,7 +63,7 @@ def trainer_for_variant(config: RunConfig, variant: str) -> TrainerConfig:
     if config.cross_context == "finetuned":
         if variant != "full":
             raise ConfigurationError("cross_context=finetuned only composes with variant 'full'")
-        overrides.update(enable_global=False, enable_local=False, cross_context=True)
+        overrides.update(weight_global=0.0, weight_local=0.0, cross_context=True)
     return dataclasses.replace(config.trainer, **overrides)
 
 

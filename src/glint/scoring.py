@@ -48,13 +48,14 @@ from .errors import ConfigurationError
 
 @dataclass(frozen=True)
 class ScoringFlags:
-    """Which rows participate in MaxSim. Query tokens are always active."""
+    """Which rows participate in MaxSim. Query tokens are always active, and
+    at least one kind of document row must be."""
 
     use_query_global: bool = True
     use_doc_global: bool = True
     use_patches: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.use_patches and not self.use_doc_global:
             raise ConfigurationError(
                 "scoring flags leave zero document rows (patches and doc global both disabled)"
@@ -147,7 +148,6 @@ def maxsim(q_rows: np.ndarray, d_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _active_rows(flags: ScoringFlags) -> slice:
     """The slice of a tile's row axis (patches, then the global row) that flags keep."""
-    flags.validate()
     if flags.use_patches and flags.use_doc_global:
         return slice(None)
     if flags.use_patches:

@@ -1,10 +1,10 @@
 """Training loop: batched triple encoding, joint loss, manual backprop, AdamW.
 
 Each step encodes a batch of (query, page, descriptor) triples, builds the
-in-batch MaxSim score grid, evaluates the enabled losses, routes their
-gradients back through the argmax structure into the encoder, and applies a
-decoupled-weight-decay update with linear warmup. Dev nDCG@5 is evaluated per
-epoch for early stopping.
+in-batch MaxSim score grid, evaluates the losses of nonzero weight, routes
+their gradients back through the argmax structure into the encoder, and
+applies a decoupled-weight-decay update with linear warmup. Dev nDCG@5 is
+evaluated per epoch for early stopping.
 
 The same forward/backward step code powers grad_check_encoder, which verifies
 the entire analytic gradient chain against central finite differences.
@@ -40,7 +40,8 @@ class TrainerConfig:
     """Optimization hyperparameters (the desk-scale profile).
 
     Retrieval InfoNCE at temperature `tau` is always on; the global and local
-    losses can be switched off for the ablation variants.
+    losses run, with the descriptors they need, only when their weight is
+    nonzero, so a zero weight is how the ablation variants switch one off.
     """
 
     batch_size: int = 32
@@ -49,8 +50,6 @@ class TrainerConfig:
     warmup_steps: int = 100
     epochs: int = 6
     tau: float = DEFAULT_TAU
-    enable_global: bool = True
-    enable_local: bool = True
     weight_global: float = 1.0
     weight_local: float = 1.0
     early_stop_patience: int = 5
@@ -63,15 +62,19 @@ class TrainerConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate <= 0 or self.tau <= 0:
-            raise ConfigurationError("learning_rate and tau must be positive")
-        if self.weight_decay < 0 or self.warmup_steps < 0 or self.epochs < 0:
-            raise ConfigurationError("weight_decay, warmup_steps, epochs must be non-negative")
+        for name in ("learning_rate", "tau"):
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails both comparisons
+                raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("weight_decay", "weight_global", "weight_local"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
+        if self.warmup_steps < 0 or self.epochs < 0:
+            raise ConfigurationError("warmup_steps and epochs must be non-negative")
         if self.eval_k < 1 or self.early_stop_patience < 0:
             raise ConfigurationError("eval_k must be >= 1 and early_stop_patience non-negative")
 
     def needs_descriptors(self) -> bool:
-        return self.enable_global or self.enable_local or self.cross_context
+        return self.weight_global > 0 or self.weight_local > 0 or self.cross_context
 
 
 @dataclass
@@ -231,14 +234,14 @@ def _forward_batch(encoder: Encoder, batch: list[TrainSample], cfg: TrainerConfi
     retrieval_part = retrieval_infonce(scores, cfg.tau)
 
     global_part = None
-    if cfg.enable_global:
+    if cfg.weight_global > 0:
         gv = np.vstack([y[-1] for y in d.out])
         gd = np.vstack([y[-1] for y in g.out])
         global_part = scale_loss(global_infonce(gv, gd, cfg.tau), cfg.weight_global)
 
     local_part = None
     local_values = None
-    if cfg.enable_local:
+    if cfg.weight_local > 0:
         local_values = []
         acc = 0.0
         for i in range(b):
@@ -297,13 +300,13 @@ def _backward_batch(
             tokens = fwd.g.grad[j][:-1]
             tokens += d_doc[j, len(page) : len(page) + len(tokens)]
 
-    if cfg.enable_global:
+    if cfg.weight_global > 0:
         gpart = fwd.parts["global"]
         for i in range(len(batch)):
             d_page[i][-1] += gpart.gradients["visual_globals"][i]
             fwd.g.grad[i][-1] += gpart.gradients["descriptor_globals"][i]
 
-    if cfg.enable_local:
+    if cfg.weight_local > 0:
         for i, lv in enumerate(fwd.local_values):
             d_page[i][:-1] += lv.gradients["patches"]
             fwd.g.grad[i][:-1] += lv.gradients["descriptor_tokens"]

@@ -280,7 +280,7 @@ def directional():
         cfg = RunConfig.directional(seed=seed)
         corpus = generate_corpus(cfg.corpus)
         enc_full = Encoder(cfg.encoder, train(corpus, cfg.encoder, cfg.trainer).params)
-        ro_tcfg = dataclasses.replace(cfg.trainer, enable_global=False, enable_local=False)
+        ro_tcfg = dataclasses.replace(cfg.trainer, weight_global=0.0, weight_local=0.0)
         enc_ro = Encoder(cfg.encoder, train(corpus, cfg.encoder, ro_tcfg).params)
 
         docs = encode_split_docs(enc_full, corpus, "test")
@@ -371,7 +371,6 @@ class TestEndToEndReproducibility:
         # Both runs execute sequentially in this process, so the thread
         # configuration is pinned by construction.
         cfg = RunConfig(
-            seed=3,
             corpus=small_corpus_config(),
             encoder=small_encoder_config(),
             trainer=small_trainer_config(),

@@ -8,6 +8,7 @@ import zlib
 
 import numpy as np
 import pytest
+import yaml
 from conftest import (
     MALFORMED_CHECKPOINT_HEADERS,
     MALFORMED_CORPORA,
@@ -24,13 +25,14 @@ from glint.cli import main
 from glint.config import RunConfig, save_config
 from glint.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Encoder, save_checkpoint
 from glint.index_store import read_index
+from glint.pipeline import run_search
+from glint.scoring import ScoringFlags
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def _small_run_config(**overrides) -> RunConfig:
     base = dict(
-        seed=3,
         corpus=small_corpus_config(),
         encoder=small_encoder_config(),
         trainer=small_trainer_config(),
@@ -188,11 +190,14 @@ class TestSearch:
         assert main(args) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 40
 
-    def test_every_k_prints_the_full_ranking_prefix_under_every_row_flag(self, ws, capsys):
-        for drop in ([], ["--no-patches"], ["--no-doc-global"], ["--no-query-global"],
-                     ["--no-query-global", "--no-patches"], ["--no-query-global", "--no-doc-global"]):
-            base = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
-                         "--query", "64,65,66", *drop)
+    def test_every_k_prints_the_full_ranking_prefix_under_every_row_flag(self, ws, tmp_path, capsys):
+        for i, drop in enumerate(({}, {"use_patches": False}, {"use_doc_global": False},
+                                  {"use_query_global": False}, {"use_query_global": False, "use_patches": False},
+                                  {"use_query_global": False, "use_doc_global": False})):
+            config = tmp_path / f"rows{i}.yaml"
+            save_config(_small_run_config(scoring=ScoringFlags(**drop)), config)
+            base = ["search", "--config", str(config), "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
+                    "--query", "64,65,66"]
             capsys.readouterr()
             assert main([*base, "-k", "40"]) == 0
             full = capsys.readouterr().out.splitlines()
@@ -219,11 +224,35 @@ class TestSearch:
         assert main(args) == 3
         assert "page 0 has no patch rows" in capsys.readouterr().err
 
-    def test_dropping_every_row_kind_is_an_error(self, ws, capsys):
-        args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
-                     "--query", "64", "--no-patches", "--no-doc-global")
+    def test_scoring_rows_come_from_the_config(self, ws, tmp_path, capsys):
+        flags = ScoringFlags(use_query_global=False, use_patches=False)
+        config = tmp_path / "global_only.yaml"
+        save_config(_small_run_config(scoring=flags), config)
+        ranking = run_search(ws["ckpt"], ws["index"], [64, 65, 66], 40, flags=flags)
+        expected = [f"{pos:4d}  page {pid:6d}  score {score:.6f}"
+                    for pos, (pid, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1)]
+        tail = ["--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]), "--query", "64,65,66", "-k", "40"]
+        capsys.readouterr()
+        assert main(["search", "--config", str(config), *tail]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert main(_args(ws, "search", *tail)) == 0
+        assert capsys.readouterr().out.splitlines() != expected
+
+    def test_dropping_every_row_kind_is_an_error(self, ws, tmp_path, capsys):
+        config = tmp_path / "no_rows.yaml"
+        config.write_text("scoring:\n  use_patches: false\n  use_doc_global: false\n", encoding="utf-8")
+        args = ["search", "--config", str(config), "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
+                "--query", "64"]
         assert main(args) == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert "configuration error: scoring flags leave zero document rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-patches", "--no-doc-global", "--no-query-global"])
+    def test_row_flags_are_argparse_errors(self, ws, flag):
+        args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
+                     "--query", "64", flag)
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
 
     def test_malformed_query_is_an_argparse_error(self, ws, capsys):
         args = _args(ws, "search", "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
@@ -486,12 +515,12 @@ class TestErrorHandling:
     def test_thread_count_accepted(self, ws, tmp_path):
         assert main(_args(ws, "gen", "--threads", "2", "--out", str(tmp_path / "c.jsonl"))) == 0
 
-    def test_variant_choices_enforced(self, ws, tmp_path):
+    def test_variant_choices_enforced(self, ws, tmp_path, capsys):
         args = _args(ws, "train", "--corpus", str(ws["corpus"]), "--out", str(tmp_path / "x.ckpt"),
                      "--variant", "no_such_variant")
-        with pytest.raises(SystemExit) as excinfo:
-            main(args)
-        assert excinfo.value.code == 2
+        assert main(args) == 2
+        assert "unknown training variant 'no_such_variant'" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 class TestTrainerVariants:
@@ -502,6 +531,43 @@ class TestTrainerVariants:
                 "--out", str(tmp_path / "x.ckpt"), "--variant", "retrieval_only"]
         assert main(args) == 2
         assert "finetuned" in capsys.readouterr().err
+
+    def test_trainer_cross_context_needs_the_finetuned_mode(self, ws, tmp_path, capsys):
+        data = _small_run_config().to_dict()
+        data["trainer"]["cross_context"] = True
+        config = tmp_path / "bypass.yaml"
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        out = tmp_path / "x.ckpt"
+        args = ["train", "--config", str(config), "--corpus", str(ws["corpus"]), "--out", str(out),
+                "--variant", "loss_no_global"]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "trainer.cross_context: true needs cross_context: finetuned, got 'off'" in err
+        assert not out.exists()
+
+    def test_removed_loss_switch_key_exits_2(self, ws, tmp_path, capsys):
+        config = tmp_path / "switch.yaml"
+        config.write_text("trainer:\n  enable_global: false\n", encoding="utf-8")
+        args = ["train", "--config", str(config), "--corpus", str(ws["corpus"]), "--out", str(tmp_path / "x.ckpt")]
+        assert main(args) == 2
+        assert "config section 'trainer' has unknown keys: ['enable_global']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["loss_no_global", "loss_no_local", "retrieval_only"])
+    def test_variant_is_full_with_its_weights_at_zero(self, ws, tmp_path, variant):
+        zero = {"loss_no_global": ["weight_global"], "loss_no_local": ["weight_local"],
+                "retrieval_only": ["weight_global", "weight_local"]}[variant]
+
+        def train(name, variant, **weights):
+            config = tmp_path / f"{name}.yaml"
+            save_config(_small_run_config(trainer=small_trainer_config(epochs=1, **weights)), config)
+            assert main(["train", "--config", str(config), "--corpus", str(ws["corpus"]), "--variant", variant,
+                         "--out", str(tmp_path / f"{name}.ckpt")]) == 0
+            return [(tmp_path / f"{name}.{suffix}").read_bytes() for suffix in ("ckpt", "ckpt.log.json")]
+
+        by_variant = train("variant", variant)
+        assert train("weights", "full", **{key: 0.0 for key in zero}) == by_variant
+        assert train("full", "full") != by_variant
 
     def test_retrieval_only_variant_trains(self, ws, tmp_path, capsys):
         capsys.readouterr()

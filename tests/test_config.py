@@ -28,7 +28,6 @@ class TestRunConfig:
 
     def test_with_seed_reaches_every_component(self):
         cfg = RunConfig().with_seed(77)
-        assert cfg.seed == 77
         assert cfg.corpus.seed == 77
         assert cfg.encoder.seed == 77
         assert cfg.trainer.seed == 77
@@ -40,9 +39,23 @@ class TestRunConfig:
 
     def test_top_level_seed_fills_every_unset_section_seed(self):
         cfg = config_from_dict({"seed": 7})
-        assert (cfg.seed, cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (7, 7, 7, 7)
+        assert (cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (7, 7, 7)
+        assert cfg == RunConfig().with_seed(7)
         cfg = config_from_dict({"seed": 7, "corpus": {"seed": 2}})
-        assert (cfg.seed, cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (7, 2, 7, 7)
+        assert (cfg.corpus.seed, cfg.encoder.seed, cfg.trainer.seed) == (2, 7, 7)
+
+    def test_top_level_seed_is_not_stored(self, tmp_path):
+        cfg = config_from_dict({"seed": 7, "corpus": {"seed": 2}})
+        assert "seed" not in cfg.to_dict()
+        path = tmp_path / "run.yaml"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_trainer_cross_context_needs_the_finetuned_mode(self):
+        for mode in ("off", "frozen"):
+            with pytest.raises(ConfigurationError, match="trainer.cross_context.*cross_context: finetuned"):
+                RunConfig(cross_context=mode, trainer=TrainerConfig(cross_context=True))
+        RunConfig(cross_context="finetuned", trainer=TrainerConfig(cross_context=True))
 
     def test_directional_profile(self):
         cfg = RunConfig.directional(seed=2)
@@ -114,6 +127,10 @@ class TestUnknownKeys:
             config_from_dict({"trainer": {"eval_k": 0}})
         with pytest.raises(ConfigurationError, match="early_stop_patience"):
             config_from_dict({"trainer": {"early_stop_patience": -1}})
+        with pytest.raises(ConfigurationError, match="weight_global"):
+            config_from_dict({"trainer": {"weight_global": -1.0}})
+        with pytest.raises(ConfigurationError, match="zero document rows"):
+            config_from_dict({"scoring": {"use_patches": False, "use_doc_global": False}})
 
 
 class TestValueTypes:

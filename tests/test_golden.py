@@ -4,7 +4,8 @@ CLI chain, pinned in tests/golden.json.
 The chain is gen; train full, retrieval_only, loss_no_global, loss_no_local
 and the cross-context finetuned checkpoint; index; eval plain, from the
 index, frozen cross-context and finetuned; ablate; and search at k = 1 and
-k = n under two flag rows. A change that moves one bit anywhere on that path
+k = n under all rows and under a saved global-only `scoring:` config (its
+digests keep the names of the search flags it replaced). A change that moves one bit anywhere on that path
 fails here. The digests hold for the numpy, BLAS and CPU they were recorded
 on, which the file names.
 
@@ -30,6 +31,7 @@ from conftest import small_corpus_config, small_encoder_config, small_trainer_co
 
 from glint.cli import main
 from glint.config import RunConfig, save_config
+from glint.scoring import ScoringFlags
 
 GOLDEN = Path(__file__).with_name("golden.json")
 _VARIANTS = ("full", "retrieval_only", "loss_no_global", "loss_no_local")
@@ -62,10 +64,12 @@ def run_chain(workdir: Path) -> dict[str, str]:
             assert main(list(argv)) == 0, f"{name} failed"
         digests[f"stdout/{name}"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
 
-    base = dict(seed=3, corpus=small_corpus_config(), encoder=small_encoder_config(),
+    base = dict(corpus=small_corpus_config(), encoder=small_encoder_config(),
                 trainer=small_trainer_config(), eval_k=3)
     for mode in ("off", "frozen", "finetuned"):
         save_config(RunConfig(cross_context=mode, **base), workdir / f"{mode}.yaml")
+    save_config(RunConfig(scoring=ScoringFlags(use_query_global=False, use_patches=False), **base),
+                workdir / "global_only.yaml")
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -83,10 +87,10 @@ def run_chain(workdir: Path) -> dict[str, str]:
         run("eval_finetuned", "eval", "--config", "finetuned.yaml", *corpus, "--checkpoint", "finetuned.ckpt",
             "--report-out", "eval_finetuned.csv")
         run("ablate", "ablate", *off, *corpus, "--checkpoints", "ckpts", "--report-out", "ablate.csv")
-        for flags in ((), ("--no-query-global", "--no-patches")):
+        for name, config in (("search", "off.yaml"), ("search--no-query-global--no-patches", "global_only.yaml")):
             for k in (1, _N_PAGES):
-                run("search" + "".join(flags) + f"_k{k}", "search", *off, *full, "--index", "pages.idx",
-                    "--query", _QUERY, "-k", str(k), *flags)
+                run(f"{name}_k{k}", "search", "--config", config, *full, "--index", "pages.idx",
+                    "--query", _QUERY, "-k", str(k))
     finally:
         os.chdir(cwd)
     for path in sorted(p for p in workdir.rglob("*") if p.is_file()):

@@ -46,6 +46,16 @@ class TestTrainerConfig:
             TrainerConfig(tau=-0.1)
         with pytest.raises(ConfigurationError):
             TrainerConfig(weight_decay=-1e-4)
+        nan, inf = float("nan"), float("inf")
+        for name, bad in [
+            ("learning_rate", nan), ("learning_rate", inf), ("tau", nan), ("tau", inf),
+            ("weight_decay", nan), ("weight_decay", inf),
+            ("weight_global", -1.0), ("weight_global", nan), ("weight_global", inf),
+            ("weight_local", -1.0), ("weight_local", nan), ("weight_local", inf),
+        ]:
+            with pytest.raises(ConfigurationError, match=name):
+                TrainerConfig(**{name: bad})
+        TrainerConfig(weight_global=0.0, weight_local=0.0)  # a zero weight switches a loss off
         with pytest.raises(ConfigurationError, match="eval_k"):
             TrainerConfig(eval_k=0)
         with pytest.raises(ConfigurationError, match="early_stop_patience"):
@@ -53,9 +63,11 @@ class TestTrainerConfig:
 
     def test_descriptor_requirements(self):
         assert TrainerConfig().needs_descriptors()
-        assert not TrainerConfig(enable_global=False, enable_local=False).needs_descriptors()
+        assert not TrainerConfig(weight_global=0.0, weight_local=0.0).needs_descriptors()
+        assert TrainerConfig(weight_local=0.0).needs_descriptors()
+        assert TrainerConfig(weight_global=0.0).needs_descriptors()
         assert TrainerConfig(
-            enable_global=False, enable_local=False, cross_context=True
+            weight_global=0.0, weight_local=0.0, cross_context=True
         ).needs_descriptors()
 
 
@@ -179,7 +191,7 @@ class TestTrainLoop:
             train(small_corpus, small_encoder_config(), small_trainer_config())
 
     def test_retrieval_only_trains_without_descriptors(self, small_corpus, monkeypatch):
-        tcfg = small_trainer_config(epochs=1, enable_global=False, enable_local=False)
+        tcfg = small_trainer_config(epochs=1, weight_global=0.0, weight_local=0.0)
         expected = train(small_corpus, small_encoder_config(), tcfg)
         forbid_descriptors(monkeypatch)
         result = train(small_corpus, small_encoder_config(), tcfg)
@@ -364,7 +376,7 @@ class TestLossesTakeUnitRows:
         # every row gradient, so normalizing again inside the losses changes
         # the step only by rounding.
         cfg, tcfg = small_encoder_config(), small_trainer_config()
-        assert tcfg.enable_global and tcfg.enable_local
+        assert tcfg.weight_global > 0 and tcfg.weight_local > 0
         encoder = Encoder(cfg, init_params(cfg))
         batch = _make_samples(small_corpus, small_corpus.splits["train"].query_ids[: tcfg.batch_size], need_desc=True)
 
