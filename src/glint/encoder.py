@@ -27,6 +27,19 @@ multiplication commute); regrouping is not. `mean` and `np.linalg.norm`
 become the `np.add.reduce` they call inside. The tests hold each kernel to
 its textbook form with `np.array_equal`.
 
+Its companion, the rebuild rule: backward rebuilds, rather than caches, any
+value that the forward's own ufuncs recompute in order from what the cache
+already holds, so the cache stays small and the gradients keep their bits.
+The layer-norm outputs (`_ln_output`: `xhat * g`, then `+= b`) and the GELU
+output (`_gelu_output`: `0.5 * u`, then `*= 1.0 + t`) are rebuilt, by the
+same helpers the forward calls. A layer cache holds each layer norm's
+(xhat, inv, g, b), the attention heads qh, kh, vh, the softmax att, the
+context rows ctx, and the GELU input u with its tanh t; the stack's cache
+adds the final layer norm's (xhat, inv, g, b), the output rows y, their
+norms, and the input ids or features. `backward` consumes the cache: it
+drops each layer's cache as soon as that layer's backward has read it, so a
+forward takes exactly one backward.
+
 Checkpoints are a versioned binary format: magic "GDFT", format version, a
 JSON header with the encoder config, the parameter tensors in declaration
 order as little-endian float32, and a trailing CRC32 of the payload.
@@ -162,20 +175,27 @@ def zero_grads(config: EncoderConfig) -> dict[str, np.ndarray]:
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+    """Layer norm of the last axis: (output, cache (xhat, inv, g, b))."""
     width = x.shape[-1]
     mu = np.add.reduce(x, axis=-1, keepdims=True)
     mu /= width
     xhat = x - mu
-    out = xhat * xhat
-    inv = np.add.reduce(out, axis=-1, keepdims=True)
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
     inv /= width
     inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, g, out=out)
+    cache = (xhat, inv, g, b)
+    return _ln_output(cache), cache
+
+
+def _ln_output(cache) -> np.ndarray:
+    """xhat * g + b: the layer-norm output, from the forward or rebuilt from its cache."""
+    xhat, _, g, b = cache
+    out = xhat * g
     out += b
-    return out, (xhat, inv, g)
+    return out
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -185,7 +205,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 def _ln_backward(dout: np.ndarray, cache):
     """Backward of _ln_forward over a stack, taking and returning (B * n, width) rows."""
-    xhat, inv, g = cache
+    xhat, inv, g, _ = cache
     xhat, inv = _rows(xhat), _rows(inv)
     width = xhat.shape[-1]
     tmp = dout * xhat
@@ -212,9 +232,14 @@ def _gelu_forward(u: np.ndarray):
     t += u
     t *= _GELU_C0
     np.tanh(t, out=t)
+    return _gelu_output(u, t), t
+
+
+def _gelu_output(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 * u * (1 + t): the GELU output, from the forward or rebuilt from (u, t)."""
     a = 0.5 * u
     a *= 1.0 + t
-    return a, t
+    return a
 
 
 def _gelu_backward(da: np.ndarray, u: np.ndarray, t: np.ndarray):
@@ -346,9 +371,8 @@ class Encoder:
             h += h1
             h += p[pre + "ff_b2"]
             layer_caches.append(
-                {"ln1_out": ln1_out, "ln1_c": ln1_c, "qh": qh, "kh": kh, "vh": vh,
-                 "att": att, "ctx": ctx, "ln2_out": ln2_out, "ln2_c": ln2_c,
-                 "u": u, "t": t, "a": a}
+                {"ln1_c": ln1_c, "qh": qh, "kh": kh, "vh": vh, "att": att,
+                 "ctx": ctx, "ln2_c": ln2_c, "u": u, "t": t}
             )
 
         lnf_out, lnf_c = _ln_forward(h, p["final_ln_g"], p["final_ln_b"])
@@ -359,7 +383,6 @@ class Encoder:
         y /= safe
         cache = {
             "layers": layer_caches,
-            "lnf_out": lnf_out,
             "lnf_c": lnf_c,
             "y": y,
             "norms": safe,
@@ -384,7 +407,8 @@ class Encoder:
 
     def backward(self, cache: dict, d_y: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Accumulate d(loss)/d(params) into grads given d(loss)/d(output rows),
-        shaped like the rows the forward returned."""
+        shaped like the rows the forward returned. Consumes the cache's layers.
+        """
         cfg, p = self.config, self.params
         y, norms = cache["y"], cache["norms"]
         d_y = np.reshape(d_y, y.shape)
@@ -397,10 +421,8 @@ class Encoder:
         dz /= norms
         dz = _rows(dz)
         B, n, m = y.shape[0], y.shape[1], cfg.model_dim
-        heads, dh = cfg.heads, m // cfg.heads
-        scale = 1.0 / np.sqrt(dh)
 
-        grads["head_w"] += _rows(cache["lnf_out"]).T @ dz
+        grads["head_w"] += _rows(_ln_output(cache["lnf_c"])).T @ dz
         grads["head_b"] += dz.sum(axis=0)
         dlnf_out = dz @ p["head_w"].T
         dh_res, dgf, dbf = _ln_backward(dlnf_out, cache["lnf_c"])
@@ -408,55 +430,9 @@ class Encoder:
         grads["final_ln_b"] += dbf
 
         d_hidden = dh_res
+        layers = cache["layers"]
         for i in reversed(range(cfg.layers)):
-            pre = f"layer{i}."
-            lc = cache["layers"][i]
-            # feed-forward block: h = h1 + gelu(ln2(h1) @ w1 + b1) @ w2 + b2
-            dff = d_hidden
-            grads[pre + "ff_w2"] += _rows(lc["a"]).T @ dff
-            grads[pre + "ff_b2"] += dff.sum(axis=0)
-            da = dff @ p[pre + "ff_w2"].T
-            du = _gelu_backward(da, _rows(lc["u"]), _rows(lc["t"]))
-            grads[pre + "ff_w1"] += _rows(lc["ln2_out"]).T @ du
-            grads[pre + "ff_b1"] += du.sum(axis=0)
-            dln2_out = du @ p[pre + "ff_w1"].T
-            dh1_ln, dg2, db2 = _ln_backward(dln2_out, lc["ln2_c"])
-            grads[pre + "ln2_g"] += dg2
-            grads[pre + "ln2_b"] += db2
-            dh1 = dh1_ln
-            dh1 += d_hidden
-            # attention block: h1 = h + (att @ v) @ wo + bo
-            dattn = dh1
-            grads[pre + "attn_o_w"] += _rows(lc["ctx"]).T @ dattn
-            grads[pre + "attn_o_b"] += dattn.sum(axis=0)
-            dctx = (dattn @ p[pre + "attn_o_w"].T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
-            datt = dctx @ lc["vh"].swapaxes(-1, -2)
-            dvh = lc["att"].swapaxes(-1, -2) @ dctx
-            dlogits = datt  # scaled in place: datt -> d(logits) -> d(qh @ kh^T)
-            datt_att = datt * lc["att"]
-            dlogits -= np.add.reduce(datt_att, axis=-1, keepdims=True)
-            dlogits *= lc["att"]
-            dlogits *= scale
-            dqh = dlogits @ lc["kh"]
-            dkh = dlogits.swapaxes(-1, -2) @ lc["qh"]
-            dq = dqh.transpose(0, 2, 1, 3).reshape(B * n, m)
-            dk = dkh.transpose(0, 2, 1, 3).reshape(B * n, m)
-            dv = dvh.transpose(0, 2, 1, 3).reshape(B * n, m)
-            ln1_rows = _rows(lc["ln1_out"])
-            grads[pre + "attn_q_w"] += ln1_rows.T @ dq
-            grads[pre + "attn_q_b"] += dq.sum(axis=0)
-            grads[pre + "attn_k_w"] += ln1_rows.T @ dk
-            grads[pre + "attn_k_b"] += dk.sum(axis=0)
-            grads[pre + "attn_v_w"] += ln1_rows.T @ dv
-            grads[pre + "attn_v_b"] += dv.sum(axis=0)
-            dln1_out = dq @ p[pre + "attn_q_w"].T
-            dln1_out += dk @ p[pre + "attn_k_w"].T
-            dln1_out += dv @ p[pre + "attn_v_w"].T
-            dh_ln, dg1, db1 = _ln_backward(dln1_out, lc["ln1_c"])
-            grads[pre + "ln1_g"] += dg1
-            grads[pre + "ln1_b"] += db1
-            dh_ln += dh1
-            d_hidden = dh_ln
+            d_hidden = self._layer_backward(f"layer{i}.", layers.pop(), d_hidden, grads)
 
         d_hidden = d_hidden.reshape(B, n, m)
         grads["pos_emb"][:n] += d_hidden.sum(axis=0)
@@ -467,6 +443,63 @@ class Encoder:
         else:
             grads["patch_proj_w"] += _rows(cache["feats"]).T @ d_content
             grads["patch_proj_b"] += d_content.sum(axis=0)
+
+    def _layer_backward(
+        self, pre: str, lc: dict, d_hidden: np.ndarray, grads: dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """Backward of one layer from its cache lc, taking d(loss)/d(layer
+        output) and returning d(loss)/d(layer input), as (B * n, m) rows."""
+        p = self.params
+        B, heads, n, dh = lc["qh"].shape
+        m = heads * dh
+        scale = 1.0 / np.sqrt(dh)
+        # feed-forward block: h = h1 + gelu(ln2(h1) @ w1 + b1) @ w2 + b2
+        dff = d_hidden
+        u, t = _rows(lc["u"]), _rows(lc["t"])
+        grads[pre + "ff_w2"] += _gelu_output(u, t).T @ dff
+        grads[pre + "ff_b2"] += dff.sum(axis=0)
+        da = dff @ p[pre + "ff_w2"].T
+        du = _gelu_backward(da, u, t)
+        grads[pre + "ff_w1"] += _rows(_ln_output(lc["ln2_c"])).T @ du
+        grads[pre + "ff_b1"] += du.sum(axis=0)
+        dln2_out = du @ p[pre + "ff_w1"].T
+        dh1_ln, dg2, db2 = _ln_backward(dln2_out, lc["ln2_c"])
+        grads[pre + "ln2_g"] += dg2
+        grads[pre + "ln2_b"] += db2
+        dh1 = dh1_ln
+        dh1 += d_hidden
+        # attention block: h1 = h + (att @ v) @ wo + bo
+        dattn = dh1
+        grads[pre + "attn_o_w"] += _rows(lc["ctx"]).T @ dattn
+        grads[pre + "attn_o_b"] += dattn.sum(axis=0)
+        dctx = (dattn @ p[pre + "attn_o_w"].T).reshape(B, n, heads, dh).transpose(0, 2, 1, 3)
+        datt = dctx @ lc["vh"].swapaxes(-1, -2)
+        dvh = lc["att"].swapaxes(-1, -2) @ dctx
+        dlogits = datt  # scaled in place: datt -> d(logits) -> d(qh @ kh^T)
+        datt_att = datt * lc["att"]
+        dlogits -= np.add.reduce(datt_att, axis=-1, keepdims=True)
+        dlogits *= lc["att"]
+        dlogits *= scale
+        dqh = dlogits @ lc["kh"]
+        dkh = dlogits.swapaxes(-1, -2) @ lc["qh"]
+        dq = dqh.transpose(0, 2, 1, 3).reshape(B * n, m)
+        dk = dkh.transpose(0, 2, 1, 3).reshape(B * n, m)
+        dv = dvh.transpose(0, 2, 1, 3).reshape(B * n, m)
+        ln1_rows = _rows(_ln_output(lc["ln1_c"]))
+        grads[pre + "attn_q_w"] += ln1_rows.T @ dq
+        grads[pre + "attn_q_b"] += dq.sum(axis=0)
+        grads[pre + "attn_k_w"] += ln1_rows.T @ dk
+        grads[pre + "attn_k_b"] += dk.sum(axis=0)
+        grads[pre + "attn_v_w"] += ln1_rows.T @ dv
+        grads[pre + "attn_v_b"] += dv.sum(axis=0)
+        dln1_out = dq @ p[pre + "attn_q_w"].T
+        dln1_out += dk @ p[pre + "attn_k_w"].T
+        dln1_out += dv @ p[pre + "attn_v_w"].T
+        dh_ln, dg1, db1 = _ln_backward(dln1_out, lc["ln1_c"])
+        grads[pre + "ln1_g"] += dg1
+        grads[pre + "ln1_b"] += db1
+        dh_ln += dh1
+        return dh_ln
 
     # ----- public embedding API -----
 

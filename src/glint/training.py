@@ -165,6 +165,10 @@ class _Stream:
     Holds, per stack, its batch positions, output rows (B, L + 1, d), backward
     cache and a zeroed d(loss)/d(rows) array. out[i] and grad[i] are sample
     i's rows and gradient, views into its stack's arrays.
+
+    A stream takes exactly one backward, which releases each stack's cache
+    as its encoder backward reads it: the caches are most of a batch's
+    memory, and none of them lives into the next batch's forward.
     """
 
     def __init__(self, forward, seqs: list):
@@ -185,7 +189,8 @@ class _Stream:
             self.grads.append(d_y)
 
     def backward(self, encoder: Encoder, grads: dict[str, np.ndarray]) -> None:
-        for cache, d_y in zip(self.caches, self.grads):
+        for k, d_y in enumerate(self.grads):
+            cache, self.caches[k] = self.caches[k], None
             encoder.backward(cache, d_y, grads)
 
 
@@ -193,8 +198,11 @@ class _Stream:
 class _BatchForward:
     """Everything the backward pass and the grad checker need from one batch.
 
-    doc_stack holds every document's MaxSim rows, padded by pad_rows to the
-    longest, so one maxsim call per query stack scores the whole grid.
+    A forward takes exactly one backward (_backward_batch), which releases
+    the encoder caches its streams hold; the rows, scores and loss values
+    stay readable. doc_stack holds every document's MaxSim rows, padded by
+    pad_rows to the longest, so one maxsim call per query stack scores the
+    whole grid.
     """
 
     q: _Stream
@@ -276,8 +284,8 @@ def _route_retrieval(fwd: _BatchForward, w: np.ndarray) -> np.ndarray:
     for idx, y, d_y, arg in zip(fwd.q.idx, fwd.q.ys, fwd.q.grads, fwd.pair_args):
         n_q, L_q = y.shape[:2]
         wq = w[idx]  # (n_q, n_d)
-        matched = stack[doc, arg].reshape(n_q, n_d, L_q * dim)
-        d_y += (wq[:, None, :] @ matched).reshape(n_q, L_q, dim)
+        # The gathered rows die before the scatter allocates its own.
+        d_y += (wq[:, None, :] @ stack[doc, arg].reshape(n_q, n_d, L_q * dim)).reshape(n_q, L_q, dim)
         # Scalar positions in the flattened stack: numpy's add.at is several
         # times faster on 1-D indices and values than on rows.
         pos = (((doc * L_d + arg) * dim)[..., None] + np.arange(dim)).ravel()

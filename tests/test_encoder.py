@@ -20,8 +20,10 @@ from glint.encoder import (
     param_spec,
     _gelu_backward,
     _gelu_forward,
+    _gelu_output,
     _ln_backward,
     _ln_forward,
+    _ln_output,
     save_checkpoint,
     zero_grads,
 )
@@ -220,6 +222,12 @@ class TestStackedEncoding:
             else:
                 assert diff <= 1e-12 * np.abs(ref).max(), (name, diff)
 
+    def test_backward_consumes_the_layer_caches(self):
+        enc = Encoder.initialize(_cfg())
+        y, cache = enc.forward_tokens(np.arange(5))
+        enc.backward(cache, np.ones_like(y), zero_grads(enc.config))
+        assert cache["layers"] == []
+
     def test_rows_at_max_seq_encode_and_one_more_is_refused(self):
         cfg = _cfg()
         enc = Encoder.initialize(cfg)
@@ -396,11 +404,11 @@ def _ln_forward_textbook(x, g, b):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    return xhat * g + b, (xhat, inv, g, b)
 
 
 def _ln_backward_textbook(dout, cache):
-    xhat, inv, g = cache
+    xhat, inv, g, _ = cache
     xhat, inv = xhat.reshape(-1, xhat.shape[-1]), inv.reshape(-1, 1)
     dg = (dout * xhat).sum(axis=0)
     db = dout.sum(axis=0)
@@ -427,7 +435,8 @@ _STACKS = [(1, 9), (1, 17), (32, 17)]
 
 
 class TestKernelsEqualTextbookForms:
-    """The in-place kernels keep every bit of the expressions they replace."""
+    """The in-place kernels keep every bit of the expressions they replace,
+    and backward rebuilds the outputs it does not cache to the forward's bits."""
 
     @pytest.mark.parametrize("B, n", _STACKS)
     @pytest.mark.parametrize("seed", range(5))
@@ -440,6 +449,7 @@ class TestKernelsEqualTextbookForms:
         assert np.array_equal(out, want)
         for got, ref in zip(cache, want_cache):
             assert np.array_equal(got, ref)
+        assert np.array_equal(_ln_output(cache), out)
         dout = rng.normal(size=(B * n, 64))
         for got, ref in zip(_ln_backward(dout, cache), _ln_backward_textbook(dout, want_cache)):
             assert np.array_equal(got, ref)
@@ -454,6 +464,8 @@ class TestKernelsEqualTextbookForms:
         assert np.array_equal(a, want_a) and np.array_equal(t, want_t)
         rows, da = u.reshape(-1, 256), rng.normal(size=(B * n, 256))
         t_rows = t.reshape(-1, 256)
+        assert np.array_equal(_gelu_output(u, t), a)
+        assert np.array_equal(_gelu_output(rows, t_rows), a.reshape(-1, 256))  # as backward rebuilds it
         assert np.array_equal(_gelu_backward(da, rows, t_rows), _gelu_backward_textbook(da, rows, t_rows))
 
     def test_kernels_leave_their_inputs_alone(self):
@@ -464,9 +476,11 @@ class TestKernelsEqualTextbookForms:
         _, cache = _ln_forward(x, g, b)
         xhat, inv = cache[0].copy(), cache[1].copy()
         _ln_backward(dout, cache)
+        _ln_output(cache)
         _, t = _gelu_forward(u)
         t_before = t.copy()
         _gelu_backward(da, u, t)
+        _gelu_output(u, t)
         for got, ref in zip((x, g, b, u, dout, da), before):
             assert np.array_equal(got, ref)
         assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv) and np.array_equal(t, t_before)

@@ -2,6 +2,7 @@
 end-to-end gradient check."""
 
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,38 @@ class TestTrainLoop:
         assert err.diagnostics["step"] == len(err.partial_log.steps)
         assert err.partial_log.steps, "steps before the divergence should be preserved"
         assert "loss_components" in err.diagnostics
+
+    def test_no_cache_outlives_its_backward(self, small_corpus, monkeypatch):
+        # Every array an encoder forward caches for backward, apart from the
+        # output rows and the parameters it reads, is dead when the next
+        # batch's forward starts.
+        run_stack, forward_batch = Encoder._run_stack, _forward_batch
+        cached: list[weakref.ref] = []
+        alive_at_forward: list[int] = []
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (dict, list, tuple)):
+                for item in obj.values() if isinstance(obj, dict) else obj:
+                    yield from arrays(item)
+
+        def recording_run_stack(self, x0, provenance):
+            y, cache = run_stack(self, x0, provenance)
+            params = {id(v) for v in self.params.values()}
+            cached.extend(weakref.ref(a) for a in arrays(cache) if a is not y and id(a) not in params)
+            return y, cache
+
+        def checking_forward_batch(*args):
+            alive_at_forward.append(sum(ref() is not None for ref in cached))
+            return forward_batch(*args)
+
+        monkeypatch.setattr(Encoder, "_run_stack", recording_run_stack)
+        monkeypatch.setattr("glint.training._forward_batch", checking_forward_batch)
+        result = train(small_corpus, small_encoder_config(), small_trainer_config())
+        assert result.steps_trained >= 3 and len(alive_at_forward) == result.steps_trained
+        assert len(cached) > 0
+        assert alive_at_forward == [0] * result.steps_trained
 
     def test_log_serializes_to_json(self, small_corpus, tmp_path):
         result = train(small_corpus, small_encoder_config(), small_trainer_config(epochs=1))
