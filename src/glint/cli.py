@@ -137,8 +137,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "search":
+        from .errors import ConfigurationError
         from .pipeline import run_search
 
+        if config.cross_context != "off":  # an index holds no descriptor rows
+            raise ConfigurationError(f"search scores with cross_context: off, got cross_context: {config.cross_context}")
         ranking = run_search(args.checkpoint, args.index, args.query, args.k, flags=config.scoring)
         for pos, (pid, score) in enumerate(zip(ranking.doc_ids, ranking.scores), start=1):
             print(f"{pos:4d}  page {pid:6d}  score {score:.6f}")

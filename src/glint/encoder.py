@@ -6,14 +6,15 @@ descriptors. Every input gets the shared trainable global token appended as
 its final position, is contextualized by pre-norm self-attention layers,
 projected to the retrieval dimension, and row-normalized.
 
-Every forward runs on a stack of B equal-length sequences: `forward_tokens`
-takes one token sequence or a (B, L) id array, `forward_patches` one (P, F)
-feature matrix or a (B, P, F) stack, and a single sequence is the stack with
-B = 1. Each sequence's matmuls run as their own slices of numpy's stacked
-matmul, so a sequence encodes to the same bits alone or in any stack; the
-training step groups each stream of a batch by length and encodes one stack
-per length. `backward` takes the stack's output gradient and forms each
-weight gradient in one GEMM over all B * (L + 1) rows.
+Every forward takes one form, a stack of B equal-length sequences:
+`forward_tokens` a (B, L) id array, `forward_patches` a (B, P, F) feature
+stack, each returning (B, n, d) rows. One sequence is a stack of one:
+`encode_page` and `encode_query` pass `x[None]` and take row 0. Each
+sequence's matmuls run as their own slices of numpy's stacked matmul, so a
+sequence encodes to the same bits alone or in any stack; the training step
+groups each stream of a batch by length and encodes one stack per length.
+`backward` takes the (B, n, d) gradient of the rows the forward returned and
+forms each weight gradient in one GEMM over all B * n rows.
 
 Gradients are computed analytically (no autograd); the training module's
 gradient checker verifies them end-to-end against central finite differences.
@@ -287,41 +288,32 @@ class Encoder:
 
     # ----- input embedding -----
 
-    def _token_rows(self, token_ids) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(embedded rows (B, L, m), ids (B, L), whether the input was one 1-D sequence)."""
+    def _token_rows(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
+        """(embedded rows (B, L, m), ids (B, L)) of a (B, L) id stack."""
         try:
             ids = np.asarray(token_ids, dtype=np.int64)
         except ValueError:  # ragged nested lists
             ids = None
-        if ids is None or ids.ndim not in (1, 2) or ids.size < 1:
+        if ids is None or ids.ndim != 2 or ids.size < 1:
             got = "a ragged list" if ids is None else f"shape {ids.shape}"
-            raise ValueError(
-                f"token sequence must be a nonempty 1-D list or an equal-length (B, L) array, got {got}"
-            )
+            raise ValueError(f"token ids must be a nonempty (B, L) stack of equal-length sequences, got {got}")
         if np.any(ids < 0) or np.any(ids >= self.config.vocab_size):
             bad = ids[(ids < 0) | (ids >= self.config.vocab_size)]
             raise ValueError(f"unknown token id(s) {bad.tolist()} (vocab_size {self.config.vocab_size})")
-        single = ids.ndim == 1
-        ids = np.atleast_2d(ids)
-        return self.params["tok_emb"][ids], ids, single
+        return self.params["tok_emb"][ids], ids
 
-    def _patch_rows(self, features) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(projected rows (B, P, m), features (B, P, F), whether the input was one matrix)."""
+    def _patch_rows(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """(projected rows (B, P, m), features (B, P, F)) of a (B, P, F) feature stack."""
         feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim not in (2, 3) or 0 in feats.shape[:-1]:
-            raise ConfigurationError(
-                f"patch features must be a nonempty (P, F) matrix or (B, P, F) stack, got shape {feats.shape}"
-            )
+        if feats.ndim != 3 or 0 in feats.shape[:-1]:
+            raise ConfigurationError(f"patch features must be a nonempty (B, P, F) stack, got shape {feats.shape}")
         if feats.shape[-1] != self.config.patch_feature_dim:
             raise ConfigurationError(
                 f"patch feature width {feats.shape[-1]} != configured {self.config.patch_feature_dim}"
             )
-        single = feats.ndim == 2
-        if single:
-            feats = feats[None]
         x0 = feats @ self.params["patch_proj_w"]
         x0 += self.params["patch_proj_b"]
-        return x0, feats, single
+        return x0, feats
 
     # ----- transformer stack -----
 
@@ -392,26 +384,21 @@ class Encoder:
         return y, cache
 
     def forward_tokens(self, token_ids) -> tuple[np.ndarray, dict]:
-        """Encode one token sequence, returning (rows (L+1, d), backward cache),
-        or a (B, L) id array, returning (rows (B, L+1, d), backward cache)."""
-        x0, ids, single = self._token_rows(token_ids)
-        y, cache = self._run_stack(x0, {"kind": "tokens", "ids": ids})
-        return (y[0] if single else y), cache
+        """Encode a (B, L) token-id stack: (rows (B, L + 1, d), backward cache)."""
+        x0, ids = self._token_rows(token_ids)
+        return self._run_stack(x0, {"kind": "tokens", "ids": ids})
 
     def forward_patches(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Encode one (P, F) patch-feature matrix, returning (rows (P+1, d),
-        backward cache), or a (B, P, F) stack, returning (rows (B, P+1, d), backward cache)."""
-        x0, feats, single = self._patch_rows(features)
-        y, cache = self._run_stack(x0, {"kind": "patches", "feats": feats})
-        return (y[0] if single else y), cache
+        """Encode a (B, P, F) patch-feature stack: (rows (B, P + 1, d), backward cache)."""
+        x0, feats = self._patch_rows(features)
+        return self._run_stack(x0, {"kind": "patches", "feats": feats})
 
     def backward(self, cache: dict, d_y: np.ndarray, grads: dict[str, np.ndarray]) -> None:
         """Accumulate d(loss)/d(params) into grads given d(loss)/d(output rows),
-        shaped like the rows the forward returned. Consumes the cache's layers.
+        the (B, n, d) rows the forward returned. Consumes the cache's layers.
         """
         cfg, p = self.config, self.params
         y, norms = cache["y"], cache["norms"]
-        d_y = np.reshape(d_y, y.shape)
         # Every gradient below is held as (B * n, width) rows, so each matmul
         # is one GEMM over the whole stack.
         dz = d_y * y
@@ -505,12 +492,12 @@ class Encoder:
 
     def encode_page(self, page_features: np.ndarray, page_id: int) -> DocumentEmbedding:
         """Patch rows + appended global token -> DocumentEmbedding."""
-        y, _ = self.forward_patches(page_features)
+        (y,), _ = self.forward_patches(np.asarray(page_features)[None])
         return DocumentEmbedding(patches=y[:-1], global_vec=y[-1], page_id=page_id)
 
     def encode_query(self, token_ids, query_id) -> QueryEmbedding:
         """Token rows + appended global token -> QueryEmbedding."""
-        y, _ = self.forward_tokens(token_ids)
+        (y,), _ = self.forward_tokens([token_ids])
         return QueryEmbedding(tokens=y[:-1], global_vec=y[-1], query_id=query_id)
 
 

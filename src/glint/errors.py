@@ -20,8 +20,10 @@ class InsufficientDataError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """A non-finite loss was encountered; carries a diagnostic state dump."""
+    """A non-finite loss was encountered; carries a diagnostic state dump and
+    the training log of the steps recorded so far."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
+    def __init__(self, message: str, diagnostics: dict, partial_log):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
+        self.partial_log = partial_log

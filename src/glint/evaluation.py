@@ -145,7 +145,7 @@ def encode_split_docs(
             doc = encoder.encode_page(corpus.patch_features(pid), pid)
         patches = doc.patches
         if cross_context:
-            desc_rows, _ = encoder.forward_tokens(corpus.descriptor(pid))
+            (desc_rows,), _ = encoder.forward_tokens([corpus.descriptor(pid)])
             patches = np.vstack([patches, desc_rows[:-1]])
         global_vec = pool_patches(doc.patches, pooling) if pooling is not None else doc.global_vec
         docs.append(DocumentEmbedding(patches=patches, global_vec=global_vec, page_id=pid))
@@ -260,6 +260,7 @@ def run_ablations(
     split: str = "test",
     k: int = 5,
     rows: tuple[str, ...] | list[str] | None = None,
+    cross_context: bool = False,
 ) -> AblationReport:
     """Produce one EvalReport per requested ablation row.
 
@@ -267,7 +268,9 @@ def run_ablations(
     by flag and pooling rows, "loss_no_global"/"loss_no_local" by the loss
     rows, and an optional "retrieval_only" enables the significance record
     comparing the full model against retrieval-only training. Each
-    checkpoint's split pages are encoded once and shared by its rows.
+    checkpoint's split pages are encoded once and shared by its rows;
+    cross_context appends each page's descriptor rows in every row, as
+    `evaluate` does.
     """
     selected = tuple(rows) if rows is not None else ABLATION_ROWS
     unknown = [r for r in selected if r not in ABLATION_ROWS]
@@ -288,14 +291,14 @@ def run_ablations(
             raise ConfigurationError(f"ablation row {row!r} requires checkpoint {key!r}")
         reports[row] = evaluate(
             encoders[key], corpus, split=split, k=k, flags=flags, variant=row,
-            pooling=pooling, base_docs=pages_of(key),
+            pooling=pooling, cross_context=cross_context, base_docs=pages_of(key),
         )
 
     significance: list[dict] = []
     if "retrieval_only" in encoders and "full" in reports:
         baseline = evaluate(
             encoders["retrieval_only"], corpus, split=split, k=k, variant="retrieval_only",
-            base_docs=pages_of("retrieval_only"),
+            cross_context=cross_context, base_docs=pages_of("retrieval_only"),
         )
         significance.append(compare_reports(reports["full"], baseline))
     return AblationReport(reports=reports, significance=significance)

@@ -90,8 +90,7 @@ def run_train(
     try:
         result = train(corpus, config.encoder, tcfg, initial_params=initial_params, start_step=start_step)
     except TrainingDivergedError as exc:
-        if getattr(exc, "partial_log", None) is not None:
-            exc.partial_log.save(log_path)
+        exc.partial_log.save(log_path)
         raise
     save_checkpoint(checkpoint_out, config.encoder, result.params, steps_trained=result.steps_trained)
     result.log.save(log_path)
@@ -182,7 +181,8 @@ def run_ablate(config: RunConfig, corpus_path, checkpoint_dir) -> AblationReport
 
     Expects `<role>.ckpt` files for the roles each selected row needs; a row
     whose checkpoint is missing raises a configuration error naming the row.
-    The optional retrieval_only.ckpt enables the significance column.
+    The optional retrieval_only.ckpt enables the significance column. The
+    cross-context modes append each page's descriptor rows, as in `run_eval`.
     """
     corpus = load_corpus(corpus_path)
     checkpoint_dir = Path(checkpoint_dir)
@@ -193,5 +193,6 @@ def run_ablate(config: RunConfig, corpus_path, checkpoint_dir) -> AblationReport
             enc_config, params, _ = load_checkpoint(path)
             encoders[role] = Encoder(enc_config, params)
     return run_ablations(
-        corpus, encoders, split=config.eval_split, k=config.eval_k, rows=config.ablation_rows
+        corpus, encoders, split=config.eval_split, k=config.eval_k, rows=config.ablation_rows,
+        cross_context=config.cross_context != "off",
     )

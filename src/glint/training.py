@@ -347,8 +347,6 @@ def _make_samples(corpus: Corpus, query_ids: list[int], need_desc: bool) -> list
 
 def _dev_ndcg(encoder: Encoder, corpus: Corpus, k: int) -> float:
     """Mean nDCG@k over the dev split (normal scoring, no descriptors)."""
-    if not corpus.splits["dev"].query_ids:
-        return 0.0
     return evaluate(encoder, corpus, split="dev", k=k).overall["ndcg"]
 
 
@@ -379,6 +377,8 @@ def train(
     train_qids = list(corpus.splits["train"].query_ids)
     if not train_qids:
         raise ConfigurationError("train split has no queries")
+    if not any(corpus.queries[qid].relevant_page_ids for qid in corpus.splits["dev"].query_ids):
+        raise ConfigurationError("dev split has no scorable queries, so early stopping has no dev nDCG")
     samples = _make_samples(corpus, train_qids, trainer_config.needs_descriptors())
 
     best_ndcg = -np.inf
@@ -404,9 +404,7 @@ def train(
                     "max_abs_param": max(float(np.max(np.abs(v))) for v in params.values()),
                     "batch_query_ids": [s.query_id for s in batch],
                 }
-                err = TrainingDivergedError(f"non-finite loss at step {step}", diagnostics=diag)
-                err.partial_log = log  # cmd_train persists the steps recorded so far
-                raise err
+                raise TrainingDivergedError(f"non-finite loss at step {step}", diag, log)
             grads = zero_grads(encoder_config)
             _backward_batch(encoder, batch, trainer_config, fwd, grads)
             lr = warmup_lr(trainer_config.learning_rate, step, trainer_config.warmup_steps)

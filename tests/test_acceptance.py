@@ -313,6 +313,7 @@ def directional():
     return out
 
 
+@pytest.mark.slow
 class TestDirectionalComparisons:
     """Seed-averaged orderings the trained system must reproduce."""
 
@@ -334,6 +335,7 @@ class TestDirectionalComparisons:
             assert float(vals.mean()) < full, (mode, vals.tolist(), full)
 
 
+@pytest.mark.slow
 class TestCrossContextSoftExpectation:
     def test_plain_scoring_vs_frozen_cross_context(self, directional):
         """Soft comparison: expected to win in at least 2 of 3 seeds, but the

@@ -395,15 +395,44 @@ class TestDescriptorsAreDerived:
         forbid_descriptors(monkeypatch)
         assert run(tmp_path / "forbidden") == expected
 
-    @pytest.mark.parametrize("mode, command", [("frozen", "eval"), ("finetuned", "train")])
+    @pytest.mark.parametrize("mode, command", [("frozen", "eval"), ("frozen", "ablate"), ("finetuned", "train")])
     def test_cross_context_modes_derive_descriptors(self, ws, tmp_path, monkeypatch, mode, command):
         config = tmp_path / f"{mode}.yaml"
-        save_config(_small_run_config(cross_context=mode), config)
+        save_config(_small_run_config(cross_context=mode, ablation_rows=["full"]), config)
+        (tmp_path / "ckpts").mkdir()
+        shutil.copy(ws["ckpt"], tmp_path / "ckpts" / "full.ckpt")
         args = [command, "--config", str(config), "--corpus", str(ws["corpus"])]
-        args += ["--checkpoint", str(ws["ckpt"])] if command == "eval" else ["--out", str(tmp_path / "x.ckpt")]
+        args += {
+            "eval": ["--checkpoint", str(ws["ckpt"])],
+            "ablate": ["--checkpoints", str(tmp_path / "ckpts")],
+            "train": ["--out", str(tmp_path / "x.ckpt")],
+        }[command]
         forbid_descriptors(monkeypatch)
         with pytest.raises(DescriptorDerived):
             main(args)
+
+    def test_frozen_ablate_full_row_is_the_frozen_eval_report(self, ws, tmp_path):
+        config = tmp_path / "frozen.yaml"
+        save_config(_small_run_config(cross_context="frozen", ablation_rows=["full"]), config)
+        (tmp_path / "ckpts").mkdir()
+        shutil.copy(ws["ckpt"], tmp_path / "ckpts" / "full.ckpt")
+        common = ["--config", str(config), "--corpus", str(ws["corpus"])]
+        assert main(["eval", *common, "--checkpoint", str(ws["ckpt"]), "--report-out", str(tmp_path / "eval.csv")]) == 0
+        assert main(["ablate", *common, "--checkpoints", str(tmp_path / "ckpts"),
+                     "--report-out", str(tmp_path / "ablate.csv")]) == 0
+        assert (tmp_path / "ablate.csv").read_bytes() == (tmp_path / "eval.csv").read_bytes()
+        plain = tmp_path / "plain.csv"  # the descriptor rows move the scores
+        assert main(_args(ws, "eval", "--corpus", str(ws["corpus"]), "--checkpoint", str(ws["ckpt"]),
+                          "--report-out", str(plain))) == 0
+        assert plain.read_bytes() != (tmp_path / "eval.csv").read_bytes()
+
+    def test_search_refuses_a_cross_context_mode(self, ws, tmp_path, capsys):
+        config = tmp_path / "frozen.yaml"
+        save_config(_small_run_config(cross_context="frozen"), config)
+        args = ["search", "--config", str(config), "--checkpoint", str(ws["ckpt"]), "--index", str(ws["index"]),
+                "--query", "21,22,23"]
+        assert main(args) == 2
+        assert "got cross_context: frozen" in capsys.readouterr().err
 
 
 class TestErrorHandling:

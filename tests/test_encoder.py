@@ -165,8 +165,8 @@ class TestEncodeShapes:
 
 class TestStackedEncoding:
     """A (B, ...) stack runs every sequence through the same per-slice
-    arithmetic as encoding it alone, and its backward is the sum of the
-    per-sequence backwards."""
+    arithmetic as encoding it alone (a stack of one), and its backward is the
+    sum of the per-sequence backwards."""
 
     def test_stacked_patches_equal_one_sequence_bit_for_bit(self):
         rng = np.random.default_rng(6)
@@ -176,8 +176,11 @@ class TestStackedEncoding:
         stacked, _ = enc.forward_patches(feats)
         assert stacked.shape == (5, 5, cfg.retrieval_dim)
         for k in range(5):
-            alone, _ = enc.forward_patches(feats[k])
+            (alone,), _ = enc.forward_patches(feats[k][None])
             np.testing.assert_array_equal(stacked[k], alone)
+            emb = enc.encode_page(feats[k], page_id=k)
+            np.testing.assert_array_equal(emb.patches, stacked[k, :-1])
+            np.testing.assert_array_equal(emb.global_vec, stacked[k, -1])
 
     @pytest.mark.parametrize("share", [True, False])
     def test_stacked_tokens_equal_one_sequence_bit_for_bit(self, share):
@@ -189,7 +192,7 @@ class TestStackedEncoding:
         stacked, _ = enc.forward_tokens(ids)
         assert stacked.shape == (6, 4, cfg.retrieval_dim)
         for k in range(6):
-            alone, _ = enc.forward_tokens(ids[k].tolist())
+            (alone,), _ = enc.forward_tokens([ids[k].tolist()])
             np.testing.assert_array_equal(stacked[k], alone)
             emb = enc.encode_query(ids[k].tolist(), query_id=k)
             np.testing.assert_array_equal(emb.tokens, stacked[k, :-1])
@@ -211,8 +214,8 @@ class TestStackedEncoding:
         enc.backward(cache, d_y, stacked)
         summed = zero_grads(cfg)
         for k in range(4):
-            _, c = forward(inputs[k])
-            enc.backward(c, d_y[k], summed)
+            _, c = forward(inputs[k][None])
+            enc.backward(c, d_y[k][None], summed)
         assert np.abs(summed["head_w"]).max() > 0
         for name, ref in summed.items():
             diff = np.abs(stacked[name] - ref).max()
@@ -224,7 +227,7 @@ class TestStackedEncoding:
 
     def test_backward_consumes_the_layer_caches(self):
         enc = Encoder.initialize(_cfg())
-        y, cache = enc.forward_tokens(np.arange(5))
+        y, cache = enc.forward_tokens(np.arange(5)[None])
         enc.backward(cache, np.ones_like(y), zero_grads(enc.config))
         assert cache["layers"] == []
 
@@ -232,14 +235,14 @@ class TestStackedEncoding:
         cfg = _cfg()
         enc = Encoder.initialize(cfg)
         fits = cfg.max_seq - 1  # content rows; the global row makes max_seq
-        assert enc.forward_tokens(list(range(fits)))[0].shape[0] == cfg.max_seq
-        assert enc.forward_tokens(np.zeros((3, fits), dtype=int))[0].shape[1] == cfg.max_seq
-        assert enc.forward_patches(np.zeros((fits, 9)))[0].shape[0] == cfg.max_seq
-        assert enc.forward_patches(np.zeros((3, fits, 9)))[0].shape[1] == cfg.max_seq
+        for b in (1, 3):
+            assert enc.forward_tokens(np.zeros((b, fits), dtype=int))[0].shape[1] == cfg.max_seq
+            assert enc.forward_patches(np.zeros((b, fits, 9)))[0].shape[1] == cfg.max_seq
+        assert enc.encode_query(list(range(fits)), query_id=0).tokens.shape[0] == fits
         for too_long in (
-            lambda: enc.forward_tokens(list(range(fits + 1))),
+            lambda: enc.encode_query(list(range(fits + 1)), query_id=0),
             lambda: enc.forward_tokens(np.zeros((3, fits + 1), dtype=int)),
-            lambda: enc.forward_patches(np.zeros((fits + 1, 9))),
+            lambda: enc.encode_page(np.zeros((fits + 1, 9)), page_id=0),
             lambda: enc.forward_patches(np.zeros((3, fits + 1, 9))),
         ):
             with pytest.raises(ConfigurationError, match="max_seq"):
@@ -247,13 +250,15 @@ class TestStackedEncoding:
 
     def test_ragged_empty_and_unknown_token_stacks_rejected(self):
         enc = Encoder.initialize(_cfg())
-        for bad in ([[1, 2], [3]], [[]], np.zeros((0, 3), dtype=int), np.zeros((2, 0), dtype=int), []):
-            with pytest.raises(ValueError, match="token sequence must be a nonempty"):
+        # [1, 2, 3] and a (4, 9) matrix are one sequence each, not a stack of one.
+        for bad in ([1, 2, 3], [[1, 2], [3]], [[]], np.zeros((0, 3), dtype=int), np.zeros((2, 0), dtype=int), []):
+            with pytest.raises(ValueError, match=r"token ids must be a nonempty \(B, L\) stack"):
                 enc.forward_tokens(bad)
         with pytest.raises(ValueError, match=r"unknown token id\(s\) \[40\]"):
             enc.forward_tokens([[1, 2], [3, 40]])
-        with pytest.raises(ConfigurationError):
-            enc.forward_patches(np.zeros((0, 3, 9)))
+        for bad in (np.zeros((0, 3, 9)), np.zeros((4, 9))):
+            with pytest.raises(ConfigurationError, match=r"nonempty \(B, P, F\) stack, got shape"):
+                enc.forward_patches(bad)
 
 
 class TestGlobalTokenSharing:

@@ -11,6 +11,7 @@ from glint.encoder import Encoder
 from glint.errors import ConfigurationError
 from glint.evaluation import (
     ABLATION_ROWS,
+    AblationReport,
     EvalReport,
     QueryResult,
     compare_reports,
@@ -259,6 +260,22 @@ class TestAblations:
         for row in rows:
             assert [r.ranking for r in ab.reports[row].results] == [r.ranking for r in fresh[row].results]
             assert [r.ndcg for r in ab.reports[row].results] == [r.ndcg for r in fresh[row].results]
+
+    @pytest.mark.parametrize("n, line", [
+        (6, "full_vs_retrieval_only: W=5.0 p=0.3125 (exact, n=6)"),
+        (25, "full_vs_retrieval_only: W=117.0 p=0.226 (normal, n=25)"),
+        (4, "full_vs_retrieval_only: insufficient-data: need >= 5 nonzero differences, got 4"),
+    ])
+    def test_table_ends_with_the_significance_line(self, n, line):
+        # Every third query loses by its own margin, the rest win: query i
+        # differs by 0.01 * (i + 1), so the losers' ranks are 1, 4, 7, ...
+        def report(variant, deltas):
+            return EvalReport(variant, "test", 5, [QueryResult(i, "global", [1], 0.5 + d, 0.5)
+                                                   for i, d in enumerate(deltas)])
+
+        full = report("full", [0.01 * (i + 1) * (-1 if i % 3 == 0 else 1) for i in range(n)])
+        table = AblationReport({"full": full}, [compare_reports(full, report("retrieval_only", [0.0] * n))]).to_table()
+        assert table.splitlines()[-1] == line
 
     def test_report_table_and_rows(self, trained_small, small_corpus):
         ab = run_ablations(

@@ -14,7 +14,9 @@ from conftest import (
     small_trainer_config,
 )
 
-from glint.corpus import generate_corpus
+from glint.cli import main
+from glint.config import RunConfig, save_config
+from glint.corpus import generate_corpus, save_corpus
 from glint.encoder import Encoder, init_params, zero_grads
 from glint.errors import ConfigurationError, TrainingDivergedError
 from glint.losses import LossValue
@@ -361,10 +363,18 @@ class TestDevNdcg:
             vals.append(ndcg_at_k(top.doc_ids, set(q.relevant_page_ids), 3))
         assert _dev_ndcg(trained_small, small_corpus, 3) == float(np.mean(vals))
 
-    def test_is_zero_without_dev_queries(self, trained_small, small_corpus):
+    def test_train_refuses_a_dev_split_without_queries(self, small_corpus, tmp_path, capsys):
+        # A constant dev nDCG would make epoch 0 the best and let patience end the run.
         tweaked = copy.deepcopy(small_corpus)
         tweaked.splits["dev"].query_ids = []
-        assert _dev_ndcg(trained_small, tweaked, 3) == 0.0
+        corpus, config, ckpt = tmp_path / "corpus.jsonl", tmp_path / "run.yaml", tmp_path / "out.ckpt"
+        save_corpus(tweaked, corpus)
+        save_config(RunConfig(corpus=small_corpus_config(), encoder=small_encoder_config(),
+                              trainer=small_trainer_config()), config)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--corpus", str(corpus), "--out", str(ckpt)]) == 2
+        assert "dev split has no scorable queries" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "run.yaml"]
 
 
 def _cosine_global_infonce(gv, gd, tau):
